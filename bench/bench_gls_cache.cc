@@ -8,9 +8,9 @@
 // simulated latency drop while the answers stay identical.
 //
 // Part 2 — registration batching: a Globe Object Server re-registering N replicas
-// (e.g. after a reboot, §7) pays N gls.insert round trips; gls.insert_batch
-// registers the same set in one round trip per leaf subnode and batches the
-// forwarding-pointer chain hops as well.
+// (e.g. after a reboot, §7) pays N one-item gls.insert round trips; one
+// InsertBatch registers the same set in one round trip per leaf subnode and
+// batches the forwarding-pointer chain hops as well.
 
 #include "bench/bench_util.h"
 #include "src/gls/deploy.h"
@@ -243,6 +243,6 @@ int main() {
   bench::Note("");
   bench::Note("expected shape: the batch pays one client round trip instead of %d and",
               kRegistrations);
-  bench::Note("amortizes the pointer chain into one install_ptr_batch hop per level.");
+  bench::Note("amortizes the pointer chain into one gls.install_ptr hop per level.");
   return 0;
 }

@@ -67,6 +67,7 @@ void LookupCache::PutNegative(const ObjectId& oid, sim::SimTime now) {
 bool LookupCache::Invalidate(const ObjectId& oid, sim::SimTime now, bool quarantine) {
   if (quarantine) {
     quarantined_[oid] = now + kPutQuarantine;
+    quarantine_order_.emplace_back(oid, now + kPutQuarantine);
     PruneQuarantine(now);
   }
   return entries_.erase(oid) > 0;
@@ -76,6 +77,7 @@ void LookupCache::Clear() {
   entries_.clear();
   order_.clear();
   quarantined_.clear();
+  quarantine_order_.clear();
 }
 
 void LookupCache::EvictOne() {
@@ -110,11 +112,14 @@ void LookupCache::PruneOrder() {
 }
 
 void LookupCache::PruneQuarantine(sim::SimTime now) {
-  if (quarantined_.size() <= std::max<size_t>(max_entries_, 64)) {
-    return;
-  }
-  for (auto it = quarantined_.begin(); it != quarantined_.end();) {
-    it = it->second <= now ? quarantined_.erase(it) : std::next(it);
+  while (!quarantine_order_.empty() && quarantine_order_.front().second <= now) {
+    const auto& [oid, until] = quarantine_order_.front();
+    // Skip references a later re-quarantine or an expired-on-access lift left.
+    auto it = quarantined_.find(oid);
+    if (it != quarantined_.end() && it->second == until) {
+      quarantined_.erase(it);
+    }
+    quarantine_order_.pop_front();
   }
 }
 
@@ -174,6 +179,7 @@ Status LookupCache::Restore(ByteReader* reader) {
     order_.emplace_back(by_expiry[i].second, by_expiry[i].first);
   }
   quarantined_.clear();
+  quarantine_order_.clear();
   return OkStatus();
 }
 

@@ -13,11 +13,13 @@
 //   - only authoritative answers are stored (never a descendant's cache hit, which
 //     would restart the TTL and compound staleness),
 //   - consulted only for lookups that set allow_cached, never for mutations,
-//   - invalidated by every mutation touching the OID at this node (gls.insert,
-//     gls.delete, gls.install_ptr, gls.remove_ptr and the gls.inval_cache chain a
-//     delete sends towards the root); an invalidation also quarantines the OID
-//     briefly so a lookup response that was already in flight when the delete ran
-//     cannot re-install the deregistered address behind it,
+//   - invalidated by every mutation touching the OID at this node: gls.insert and
+//     gls.delete (one-item or batched alike), the gls.install_ptr and
+//     gls.remove_ptr chain hops, gls.scrub_address, master claims, and the
+//     gls.inval_cache fan-out deletes and chain-ending installs send towards the
+//     root; a deregistration-path invalidation also quarantines the OID briefly
+//     so a lookup response that was already in flight when the delete ran cannot
+//     re-install the deregistered address behind it,
 //   - entries additionally expire after a TTL, bounding staleness across subnodes
 //     that no mutation chain visits.
 
@@ -91,6 +93,8 @@ class LookupCache {
 
   void Clear();
   size_t size() const { return entries_.size(); }
+  // OIDs currently held in quarantine (expired ones are dropped as they lapse).
+  size_t quarantined() const { return quarantined_.size(); }
   sim::SimTime ttl() const { return ttl_; }
   sim::SimTime negative_ttl() const { return negative_ttl_; }
 
@@ -118,8 +122,14 @@ class LookupCache {
   std::deque<std::pair<ObjectId, sim::SimTime>> order_;
   // OID -> time until which Put must refuse it (see kPutQuarantine).
   std::map<ObjectId, sim::SimTime> quarantined_;
+  // The same quarantines in expiry order: every one lasts kPutQuarantine, so
+  // insertion order is expiry order. A re-quarantined or already-lifted OID
+  // leaves a stale reference behind, skipped like order_'s.
+  std::deque<std::pair<ObjectId, sim::SimTime>> quarantine_order_;
 
   void PruneOrder();
+  // Drops the quarantines that have lapsed by `now` from the front of
+  // quarantine_order_: amortized O(1) per quarantine.
   void PruneQuarantine(sim::SimTime now);
 };
 

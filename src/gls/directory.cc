@@ -13,7 +13,7 @@ namespace {
 constexpr uint64_t kMaxWireAddresses = 100000;
 constexpr uint64_t kMaxWireBatchItems = 100000;
 
-struct AddressRequest {  // gls.insert / gls.delete
+struct AddressRequest {  // gls.scrub_address
   ObjectId oid;
   ContactAddress address;
 
@@ -32,12 +32,17 @@ struct AddressRequest {  // gls.insert / gls.delete
   }
 };
 
-struct BatchAddressRequest {  // gls.insert_batch / gls.delete_batch
+// The (oid, address) pairs run to the end of the payload with no count, so a
+// batch of one costs exactly the bytes of one pair.
+struct BatchAddressRequest {  // gls.insert / gls.delete
+  // Wire size of one pair: a 16-byte OID plus a 9-byte contact address.
+  static constexpr size_t kItemBytes = ObjectId::kSize + 9;
+
   std::vector<std::pair<ObjectId, ContactAddress>> items;
 
   Bytes Serialize() const {
     ByteWriter w;
-    w.WriteVarint(items.size());
+    w.Reserve(items.size() * kItemBytes);
     for (const auto& [oid, address] : items) {
       oid.Serialize(&w);
       address.Serialize(&w);
@@ -47,11 +52,11 @@ struct BatchAddressRequest {  // gls.insert_batch / gls.delete_batch
   static Result<BatchAddressRequest> Deserialize(ByteSpan data) {
     ByteReader r(data);
     BatchAddressRequest request;
-    ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
-    if (count > kMaxWireBatchItems) {
+    if (r.remaining() / kItemBytes > kMaxWireBatchItems) {
       return InvalidArgument("implausible address batch size");
     }
-    for (uint64_t i = 0; i < count; ++i) {
+    request.items.reserve(r.remaining() / kItemBytes);
+    while (!r.AtEnd()) {
       ASSIGN_OR_RETURN(ObjectId oid, ObjectId::Deserialize(&r));
       ASSIGN_OR_RETURN(ContactAddress address, ContactAddress::Deserialize(&r));
       request.items.emplace_back(oid, address);
@@ -60,7 +65,7 @@ struct BatchAddressRequest {  // gls.insert_batch / gls.delete_batch
   }
 };
 
-struct PointerRequest {  // gls.install_ptr / gls.remove_ptr / gls.inval_cache
+struct PointerRequest {  // gls.remove_ptr / gls.inval_cache
   ObjectId oid;
   sim::DomainId child_domain = sim::kNoDomain;
   // gls.inval_cache only: whether the receiving cache should quarantine the
@@ -90,12 +95,13 @@ struct PointerRequest {  // gls.install_ptr / gls.remove_ptr / gls.inval_cache
   }
 };
 
-struct BatchPointerRequest {  // gls.install_ptr_batch (one child domain, many OIDs)
+struct BatchPointerRequest {  // gls.install_ptr (one child domain, many OIDs)
   sim::DomainId child_domain = sim::kNoDomain;
   std::vector<ObjectId> oids;
 
   Bytes Serialize() const {
     ByteWriter w;
+    w.Reserve(4 + 10 + oids.size() * ObjectId::kSize);  // u32, varint, OIDs
     w.WriteU32(child_domain);
     w.WriteVarint(oids.size());
     for (const auto& oid : oids) {
@@ -111,6 +117,7 @@ struct BatchPointerRequest {  // gls.install_ptr_batch (one child domain, many O
     if (count > kMaxWireBatchItems) {
       return InvalidArgument("implausible pointer batch size");
     }
+    request.oids.reserve(std::min<uint64_t>(count, r.remaining() / ObjectId::kSize));
     for (uint64_t i = 0; i < count; ++i) {
       ASSIGN_OR_RETURN(ObjectId oid, ObjectId::Deserialize(&r));
       request.oids.push_back(oid);
@@ -315,18 +322,14 @@ const sim::TypedMethod<BatchLookupRequest, BatchLookupResponse> kGlsLookupBatch{
     "gls.lookup_batch"};
 const sim::TypedMethod<LookupWireRequest, LookupResponse> kGlsLookupAll{
     "gls.lookup_all"};
-const sim::TypedMethod<AddressRequest, sim::EmptyMessage> kGlsInsert{
+// Registrations and the pointer installs they chain upward are batch-shaped:
+// a single-OID Insert/Delete travels as a batch of one.
+const sim::TypedMethod<BatchAddressRequest, sim::EmptyMessage> kGlsInsert{
     "gls.insert", sim::kNonIdempotent};
-const sim::TypedMethod<BatchAddressRequest, sim::EmptyMessage> kGlsInsertBatch{
-    "gls.insert_batch", sim::kNonIdempotent};
-const sim::TypedMethod<AddressRequest, sim::EmptyMessage> kGlsDelete{
+const sim::TypedMethod<BatchAddressRequest, sim::EmptyMessage> kGlsDelete{
     "gls.delete", sim::kNonIdempotent};
-const sim::TypedMethod<BatchAddressRequest, sim::EmptyMessage> kGlsDeleteBatch{
-    "gls.delete_batch", sim::kNonIdempotent};
-const sim::TypedMethod<PointerRequest, sim::EmptyMessage> kGlsInstallPtr{
+const sim::TypedMethod<BatchPointerRequest, sim::EmptyMessage> kGlsInstallPtr{
     "gls.install_ptr", sim::kNonIdempotent};
-const sim::TypedMethod<BatchPointerRequest, sim::EmptyMessage> kGlsInstallPtrBatch{
-    "gls.install_ptr_batch", sim::kNonIdempotent};
 const sim::TypedMethod<PointerRequest, sim::EmptyMessage> kGlsRemovePtr{
     "gls.remove_ptr", sim::kNonIdempotent};
 const sim::TypedMethod<PointerRequest, sim::EmptyMessage> kGlsInvalCache{
@@ -347,8 +350,19 @@ const sim::TypedMethod<ClaimWireRequest, ClaimWireResponse> kGlsRenewLease{
 
 using EmptyCallback = std::function<void(Result<sim::EmptyMessage>)>;
 
-// Joins `n` typed-empty completions into one response carrying the first error.
-EmptyCallback JoinEmpty(size_t n, EmptyCallback respond) {
+// Issues `n` calls as `issue(i, done)` for i in [0, n) and joins their
+// completions into `respond`, carrying the first error (OK at once when n is
+// 0). A single call completes through `respond` itself, with no join state.
+template <typename Issue>
+void FanOut(size_t n, EmptyCallback respond, Issue issue) {
+  if (n <= 1) {
+    if (n == 0) {
+      respond(sim::EmptyMessage{});
+    } else {
+      issue(0, std::move(respond));
+    }
+    return;
+  }
   struct JoinState {
     size_t remaining;
     Status first_error = OkStatus();
@@ -357,7 +371,7 @@ EmptyCallback JoinEmpty(size_t n, EmptyCallback respond) {
   auto state = std::make_shared<JoinState>();
   state->remaining = n;
   state->respond = std::move(respond);
-  return [state](Result<sim::EmptyMessage> result) {
+  EmptyCallback join = [state](Result<sim::EmptyMessage> result) {
     if (!result.ok() && state->first_error.ok()) {
       state->first_error = result.status();
     }
@@ -370,6 +384,34 @@ EmptyCallback JoinEmpty(size_t n, EmptyCallback respond) {
       state->respond(state->first_error);
     }
   };
+  for (size_t i = 0; i < n; ++i) {
+    issue(i, i + 1 < n ? join : std::move(join));
+  }
+}
+
+// Sends a non-empty batch as one call per subnode of `ref` its items hash to,
+// in subnode order and first-seen order within a subnode, joining the replies
+// into `respond`. A batch that hashes to one subnode — always so for a single
+// item — goes out whole, without regrouping.
+template <typename Item, typename OidOf, typename Send>
+void SendBySubnode(const DirectoryRef& ref, std::vector<Item> items, OidOf oid_of,
+                   EmptyCallback respond, Send send) {
+  size_t first = ref.SubnodeIndex(oid_of(items.front()));
+  if (std::all_of(items.begin(), items.end(), [&](const Item& item) {
+        return ref.SubnodeIndex(oid_of(item)) == first;
+      })) {
+    send(first, std::move(items), std::move(respond));
+    return;
+  }
+  std::map<size_t, std::vector<Item>> groups;
+  for (Item& item : items) {
+    groups[ref.SubnodeIndex(oid_of(item))].push_back(std::move(item));
+  }
+  auto group = groups.begin();
+  FanOut(groups.size(), std::move(respond), [&](size_t, EmptyCallback done) {
+    send(group->first, std::move(group->second), std::move(done));
+    ++group;
+  });
 }
 
 Result<LookupResult> ParseLookupResult(ByteSpan payload) {
@@ -520,33 +562,16 @@ DirectorySubnode::DirectorySubnode(sim::Transport* transport, sim::NodeId host,
       });
 
   kGlsInsert.RegisterAsync(&server_, [this](const sim::RpcContext& context,
-                                            AddressRequest request,
+                                            BatchAddressRequest request,
                                             EmptyResponder respond) {
     if (Status s = CheckAuthorized(context); !s.ok()) {
       ++stats_.denied;
       respond(s);
       return;
     }
-    ++stats_.inserts;
-    InvalidateCached(request.oid, /*quarantine=*/false);
-    auto& at_oid = store_.Mutable(request.oid).addresses;
-    if (std::find(at_oid.begin(), at_oid.end(), request.address) == at_oid.end()) {
-      at_oid.push_back(request.address);
-    }
-    PropagatePointerUp(request.oid, std::move(respond));
-  });
-
-  kGlsInsertBatch.RegisterAsync(&server_, [this](const sim::RpcContext& context,
-                                                 BatchAddressRequest request,
-                                                 EmptyResponder respond) {
-    if (Status s = CheckAuthorized(context); !s.ok()) {
-      ++stats_.denied;
-      respond(s);
-      return;
-    }
     ++stats_.batch_inserts;
-    std::vector<ObjectId> to_propagate;
-    std::set<ObjectId> seen;
+    std::vector<ObjectId> oids;
+    oids.reserve(request.items.size());
     for (const auto& [oid, address] : request.items) {
       ++stats_.inserts;
       InvalidateCached(oid, /*quarantine=*/false);
@@ -554,105 +579,70 @@ DirectorySubnode::DirectorySubnode(sim::Transport* transport, sim::NodeId host,
       if (std::find(at_oid.begin(), at_oid.end(), address) == at_oid.end()) {
         at_oid.push_back(address);
       }
-      if (seen.insert(oid).second) {
-        to_propagate.push_back(oid);
-      }
+      oids.push_back(oid);
     }
-    PropagatePointerUpBatch(to_propagate, std::move(respond));
+    // A batch may name one OID more than once; its chain is installed once.
+    if (oids.size() > 1) {
+      std::set<ObjectId> seen;
+      std::erase_if(oids,
+                    [&seen](const ObjectId& oid) { return !seen.insert(oid).second; });
+    }
+    PropagatePointerUp(std::move(oids), std::move(respond));
   });
 
   kGlsDelete.RegisterAsync(&server_, [this](const sim::RpcContext& context,
-                                            AddressRequest request,
+                                            BatchAddressRequest request,
                                             EmptyResponder respond) {
     if (Status s = CheckAuthorized(context); !s.ok()) {
       ++stats_.denied;
       respond(s);
       return;
     }
-    ApplyDelete(request.oid, request.address, std::move(respond));
-  });
-
-  kGlsDeleteBatch.RegisterAsync(&server_, [this](const sim::RpcContext& context,
-                                                 BatchAddressRequest request,
-                                                 EmptyResponder respond) {
-    if (Status s = CheckAuthorized(context); !s.ok()) {
-      ++stats_.denied;
-      respond(s);
-      return;
-    }
     ++stats_.batch_deletes;
-    if (request.items.empty()) {
-      respond(sim::EmptyMessage{});
-      return;
-    }
-    EmptyCallback join = JoinEmpty(request.items.size(), std::move(respond));
-    for (const auto& [oid, address] : request.items) {
-      ApplyDelete(oid, address, join);
-    }
+    FanOut(request.items.size(), std::move(respond), [&](size_t i, EmptyCallback done) {
+      ApplyDelete(request.items[i].first, request.items[i].second, std::move(done));
+    });
   });
 
   kGlsInstallPtr.RegisterAsync(&server_, [this](const sim::RpcContext& context,
-                                                PointerRequest request,
+                                                BatchPointerRequest request,
                                                 EmptyResponder respond) {
     if (Status s = CheckAuthorized(context); !s.ok()) {
       ++stats_.denied;
       respond(s);
       return;
     }
-    ++stats_.pointer_installs;
-    InvalidateCached(request.oid, /*quarantine=*/false);
-    bool was_new =
-        store_.Mutable(request.oid).pointers.insert(request.child_domain).second;
-    if (was_new && !parent_.empty()) {
-      PropagatePointerUp(request.oid, std::move(respond));
-      return;
-    }
-    // The chain above already exists (or we are the root), but cached answers
-    // above and beside us may still name only the farther replicas this OID
-    // had before the registration below: mirror the delete chain's inval
-    // fan-out so the new replica becomes visible without waiting out the TTL.
-    // quarantine=false — fresh lookups should re-cache the new set at once.
-    if (options_.enable_cache) {
-      ++stats_.insert_invals;
-    }
-    PropagateInvalUp(request.oid, /*include_siblings=*/true,
-                     /*quarantine=*/false, std::move(respond));
-  });
-
-  kGlsInstallPtrBatch.RegisterAsync(&server_, [this](const sim::RpcContext& context,
-                                                     BatchPointerRequest request,
-                                                     EmptyResponder respond) {
-    if (Status s = CheckAuthorized(context); !s.ok()) {
-      ++stats_.denied;
-      respond(s);
-      return;
-    }
-    std::vector<ObjectId> continue_up;
-    std::vector<ObjectId> stale_chain;
+    // Pointers new here extend the chain above us; those OIDs keep their order
+    // at the front of request.oids. Where the chain already ends (or we are
+    // the root), cached answers above and beside us may still name only the
+    // farther replicas the OID had before the registration below: mirror the
+    // delete chain's inval fan-out so the new replica becomes visible without
+    // waiting out the TTL. quarantine=false — fresh lookups should re-cache
+    // the new set at once.
+    size_t extend = 0;
+    std::vector<ObjectId> chain_ends;
     for (const ObjectId& oid : request.oids) {
       ++stats_.pointer_installs;
       InvalidateCached(oid, /*quarantine=*/false);
-      bool was_new =
-          store_.Mutable(oid).pointers.insert(request.child_domain).second;
+      bool was_new = store_.Mutable(oid).pointers.insert(request.child_domain).second;
       if (was_new && !parent_.empty()) {
-        continue_up.push_back(oid);
-      } else {
-        stale_chain.push_back(oid);
-      }
-    }
-    // Freshly installed pointers extend the chain above us; where the chain
-    // already ends (or we are the root) the same inval fan-out as the
-    // single-install path keeps stale cached answers from hiding the new
-    // registration until TTL lapse.
-    EmptyCallback join = JoinEmpty(1 + stale_chain.size(), std::move(respond));
-    PropagatePointerUpBatch(continue_up, join);
-    for (const ObjectId& oid : stale_chain) {
-      if (options_.enable_cache) {
+        request.oids[extend++] = oid;
+      } else if (options_.enable_cache) {
         ++stats_.insert_invals;
+        chain_ends.push_back(oid);
       }
-      PropagateInvalUp(oid, /*include_siblings=*/true, /*quarantine=*/false,
-                       join);
     }
+    request.oids.resize(extend);
+    size_t to_parent = extend > 0 ? 1 : 0;
+    FanOut(to_parent + chain_ends.size(), std::move(respond),
+           [&](size_t i, EmptyCallback done) {
+             if (i < to_parent) {
+               PropagatePointerUp(std::move(request.oids), std::move(done));
+             } else {
+               PropagateInvalUp(chain_ends[i - to_parent], /*include_siblings=*/true,
+                                /*quarantine=*/false, std::move(done));
+             }
+           });
   });
 
   kGlsRemovePtr.RegisterAsync(&server_, [this](const sim::RpcContext& context,
@@ -1227,44 +1217,26 @@ void DirectorySubnode::ScrubAddress(const ObjectId& oid, const ContactAddress& a
       targets.push_back(ref_it->second.Route(oid));
     }
   }
-  if (targets.empty()) {
-    respond(sim::EmptyMessage{});
-    return;
-  }
-  EmptyCallback join = JoinEmpty(targets.size(), std::move(respond));
   AddressRequest down{oid, address};
-  for (const sim::Endpoint& target : targets) {
-    kGlsScrubAddress.Call(client_.get(), target, down, join, sim::WriteCallOptions());
-  }
+  FanOut(targets.size(), std::move(respond), [&](size_t i, EmptyCallback done) {
+    kGlsScrubAddress.Call(client_.get(), targets[i], down, std::move(done),
+                          sim::WriteCallOptions());
+  });
 }
 
-void DirectorySubnode::PropagatePointerUp(const ObjectId& oid, EmptyResponder respond) {
-  if (parent_.empty()) {
-    respond(sim::EmptyMessage{});
-    return;
-  }
-  PointerRequest up{oid, domain_};
-  kGlsInstallPtr.Call(client_.get(), parent_.Route(oid), up, std::move(respond),
-                      sim::WriteCallOptions());
-}
-
-void DirectorySubnode::PropagatePointerUpBatch(const std::vector<ObjectId>& oids,
-                                               EmptyResponder respond) {
+void DirectorySubnode::PropagatePointerUp(std::vector<ObjectId> oids,
+                                          EmptyResponder respond) {
   if (parent_.empty() || oids.empty()) {
     respond(sim::EmptyMessage{});
     return;
   }
-  // One install_ptr_batch message per parent subnode the OIDs hash to.
-  std::map<size_t, std::vector<ObjectId>> groups;
-  for (const ObjectId& oid : oids) {
-    groups[parent_.SubnodeIndex(oid)].push_back(oid);
-  }
-  EmptyCallback join = JoinEmpty(groups.size(), std::move(respond));
-  for (auto& [subnode_index, group] : groups) {
-    BatchPointerRequest up{domain_, std::move(group)};
-    kGlsInstallPtrBatch.Call(client_.get(), parent_.subnodes[subnode_index], up, join,
-                             sim::WriteCallOptions());
-  }
+  SendBySubnode(parent_, std::move(oids), [](const ObjectId& oid) { return oid; },
+                std::move(respond),
+                [this](size_t slot, std::vector<ObjectId> group, EmptyCallback done) {
+                  kGlsInstallPtr.Call(client_.get(), parent_.subnodes[slot],
+                                      BatchPointerRequest{domain_, std::move(group)},
+                                      std::move(done), sim::WriteCallOptions());
+                });
 }
 
 void DirectorySubnode::PropagateRemoveUp(const ObjectId& oid, EmptyResponder respond) {
@@ -1272,25 +1244,23 @@ void DirectorySubnode::PropagateRemoveUp(const ObjectId& oid, EmptyResponder res
   // OID; drop those alongside the upward prune.
   std::vector<sim::Endpoint> sibling_invals =
       options_.enable_cache ? SiblingEndpoints() : std::vector<sim::Endpoint>{};
-  size_t calls = sibling_invals.size() + (parent_.empty() ? 0 : 1);
-  if (calls == 0) {
-    respond(sim::EmptyMessage{});
-    return;
-  }
+  size_t to_parent = parent_.empty() ? 0 : 1;
   // Chain traffic retries on loss: a dropped remove_ptr would orphan the
   // pointer chain, and a dropped inval_cache would leave a sibling serving a
   // deregistered address from cache until its TTL — exactly the coherence the
   // delete fan-out exists to guarantee. remove_ptr is deduped server-side;
   // inval_cache is idempotent, so repeats are harmless either way.
-  EmptyCallback join = JoinEmpty(calls, std::move(respond));
-  PointerRequest up{oid, domain_};
-  if (!parent_.empty()) {
-    kGlsRemovePtr.Call(client_.get(), parent_.Route(oid), up, join,
-                       sim::WriteCallOptions());
-  }
-  for (const sim::Endpoint& sibling : sibling_invals) {
-    kGlsInvalCache.Call(client_.get(), sibling, up, join, sim::WriteCallOptions());
-  }
+  PointerRequest request{oid, domain_};
+  FanOut(to_parent + sibling_invals.size(), std::move(respond),
+         [&](size_t i, EmptyCallback done) {
+           if (i < to_parent) {
+             kGlsRemovePtr.Call(client_.get(), parent_.Route(oid), request,
+                                std::move(done), sim::WriteCallOptions());
+           } else {
+             kGlsInvalCache.Call(client_.get(), sibling_invals[i - to_parent], request,
+                                 std::move(done), sim::WriteCallOptions());
+           }
+         });
 }
 
 void DirectorySubnode::PropagateInvalUp(const ObjectId& oid, bool include_siblings,
@@ -1313,16 +1283,12 @@ void DirectorySubnode::PropagateInvalUp(const ObjectId& oid, bool include_siblin
   for (const sim::Endpoint& parent_subnode : parent_.subnodes) {
     targets.push_back(parent_subnode);
   }
-  if (targets.empty()) {
-    respond(sim::EmptyMessage{});
-    return;
-  }
-  EmptyCallback join = JoinEmpty(targets.size(), std::move(respond));
   PointerRequest up{oid, domain_};
   up.quarantine = quarantine ? 1 : 0;
-  for (const sim::Endpoint& target : targets) {
-    kGlsInvalCache.Call(client_.get(), target, up, join, sim::WriteCallOptions());
-  }
+  FanOut(targets.size(), std::move(respond), [&](size_t i, EmptyCallback done) {
+    kGlsInvalCache.Call(client_.get(), targets[i], up, std::move(done),
+                        sim::WriteCallOptions());
+  });
 }
 
 Bytes DirectorySubnode::SaveState() const {
@@ -1498,13 +1464,13 @@ void DirectorySubnode::ImportOwner(const ObjectId& oid, const OwnerRecord& recor
 
 namespace {
 
-// Shared by InsertBatch and DeleteBatch: group the items by home subnode, issue one
-// batch call per group, aggregate the first error.
+// Shared by Insert/InsertBatch and Delete/DeleteBatch: one batch call per leaf
+// subnode the items hash to, aggregating the first error.
 void CallAddressBatches(
     sim::Channel* rpc, const DirectoryRef& leaf,
     const sim::TypedMethod<BatchAddressRequest, sim::EmptyMessage>& method,
-    const std::vector<std::pair<ObjectId, ContactAddress>>& items,
-    sim::CallOptions options, GlsClient::DoneCallback done) {
+    std::vector<std::pair<ObjectId, ContactAddress>> items, sim::CallOptions options,
+    GlsClient::DoneCallback done) {
   if (leaf.empty()) {
     done(FailedPrecondition("GLS client has no leaf directory"));
     return;
@@ -1513,17 +1479,16 @@ void CallAddressBatches(
     done(OkStatus());
     return;
   }
-  std::map<size_t, BatchAddressRequest> groups;
-  for (const auto& item : items) {
-    groups[leaf.SubnodeIndex(item.first)].items.push_back(item);
-  }
-  EmptyCallback join =
-      JoinEmpty(groups.size(), [done = std::move(done)](Result<sim::EmptyMessage> r) {
+  SendBySubnode(
+      leaf, std::move(items), [](const auto& item) { return item.first; },
+      [done = std::move(done)](Result<sim::EmptyMessage> r) {
         done(r.ok() ? OkStatus() : r.status());
+      },
+      [&](size_t slot, std::vector<std::pair<ObjectId, ContactAddress>> group,
+          EmptyCallback sent) {
+        method.Call(rpc, leaf.subnodes[slot], BatchAddressRequest{std::move(group)},
+                    std::move(sent), options);
       });
-  for (auto& [subnode_index, group] : groups) {
-    method.Call(rpc, leaf.subnodes[subnode_index], group, join, options);
-  }
 }
 
 }  // namespace
@@ -1653,41 +1618,25 @@ void GlsClient::LookupBatch(const std::vector<ObjectId>& oids, BatchLookupCallba
 
 void GlsClient::Insert(const ObjectId& oid, const ContactAddress& address,
                        DoneCallback done) {
-  auto target = leaf_.TryRoute(oid);
-  if (!target.ok()) {
-    done(target.status());
-    return;
-  }
-  kGlsInsert.Call(&rpc_, *target, AddressRequest{oid, address},
-                  [done = std::move(done)](Result<sim::EmptyMessage> result) {
-                    done(result.ok() ? OkStatus() : result.status());
-                  },
-                  MakeWriteCallOptions());
+  CallAddressBatches(&rpc_, leaf_, kGlsInsert, {{oid, address}}, MakeWriteCallOptions(),
+                     std::move(done));
 }
 
 void GlsClient::InsertBatch(
     const std::vector<std::pair<ObjectId, ContactAddress>>& items, DoneCallback done) {
-  CallAddressBatches(&rpc_, leaf_, kGlsInsertBatch, items, MakeWriteCallOptions(),
+  CallAddressBatches(&rpc_, leaf_, kGlsInsert, items, MakeWriteCallOptions(),
                      std::move(done));
 }
 
 void GlsClient::Delete(const ObjectId& oid, const ContactAddress& address,
                        DoneCallback done) {
-  auto target = leaf_.TryRoute(oid);
-  if (!target.ok()) {
-    done(target.status());
-    return;
-  }
-  kGlsDelete.Call(&rpc_, *target, AddressRequest{oid, address},
-                  [done = std::move(done)](Result<sim::EmptyMessage> result) {
-                    done(result.ok() ? OkStatus() : result.status());
-                  },
-                  MakeWriteCallOptions());
+  CallAddressBatches(&rpc_, leaf_, kGlsDelete, {{oid, address}}, MakeWriteCallOptions(),
+                     std::move(done));
 }
 
 void GlsClient::DeleteBatch(
     const std::vector<std::pair<ObjectId, ContactAddress>>& items, DoneCallback done) {
-  CallAddressBatches(&rpc_, leaf_, kGlsDeleteBatch, items, MakeWriteCallOptions(),
+  CallAddressBatches(&rpc_, leaf_, kGlsDelete, items, MakeWriteCallOptions(),
                      std::move(done));
 }
 

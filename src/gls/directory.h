@@ -18,9 +18,9 @@
 //     lookup *down* (or sideways to the OID's home sibling) remember the returned
 //     contact addresses, so repeat lookups for hot OIDs stop at the apex instead of
 //     re-walking the descent,
-//   - batched registration: gls.insert_batch / gls.delete_batch register or
-//     deregister many (OID, address) pairs in one round trip, and the
-//     forwarding-pointer chain is installed with batched gls.install_ptr_batch hops,
+//   - batched registration: gls.insert / gls.delete register or deregister many
+//     (OID, address) pairs in one round trip, and the forwarding-pointer chain is
+//     installed with one gls.install_ptr message per parent subnode per level,
 //   - load-aware routing: lookups may route with power-of-two choices
 //     (RouteMode::kPowerOfTwoChoices) using the issuing Channel's PeerLoad signal,
 //     so a hot OID's requests split between its home subnode and one deterministic
@@ -28,15 +28,14 @@
 //     not the hash home for answers from its cache or hands the lookup sideways to
 //     the home sibling; mutations always route strictly by hash.
 //
-// RPC methods (port sim::kPortGls on each subnode's host):
+// RPC methods, twelve in all (port sim::kPortGls on each subnode's host):
 //   gls.lookup            : LookupWireRequest -> LookupResponse
 //   gls.lookup_batch      : oids, allow_cached -> per-OID LookupResponse/status
-//   gls.insert            : oid, contact address -> empty   (stores + installs pointers)
-//   gls.insert_batch      : (oid, address) pairs -> empty   (same, one round trip)
-//   gls.delete            : oid, contact address -> empty   (removes + prunes pointers)
-//   gls.delete_batch      : (oid, address) pairs -> empty   (same, one round trip)
-//   gls.install_ptr       : oid, child domain -> empty      (internal, child -> parent)
-//   gls.install_ptr_batch : child domain, oids -> empty     (internal, child -> parent)
+//   gls.lookup_all        : LookupWireRequest -> LookupResponse (every registered
+//                           address: climbs to the root home, descends all pointers)
+//   gls.insert            : (oid, address) pairs -> empty   (stores + installs pointers)
+//   gls.delete            : (oid, address) pairs -> empty   (removes + prunes pointers)
+//   gls.install_ptr       : child domain, oids -> empty     (internal, child -> parent)
 //   gls.remove_ptr        : oid, child domain -> empty      (internal, child -> parent)
 //   gls.inval_cache       : oid, child domain -> empty      (internal: delete-driven
 //                           cache invalidation chained towards the root, fanned out
@@ -48,6 +47,12 @@
 //   gls.renew_lease       : oid, master, epoch -> granted?, epoch, master
 //                           (the incumbent master extends its ownership lease; a
 //                           rejection names the newer master to adopt)
+//   gls.scrub_address     : oid, contact address -> empty   (internal: deposed-master
+//                           cleanup, descending the registration subtree)
+//
+// The mutations are batch-shaped: GlsClient::Insert and Delete send a batch of
+// one, so every registration takes the same handler, authorization check and
+// pointer chain as InsertBatch/DeleteBatch.
 
 #ifndef SRC_GLS_DIRECTORY_H_
 #define SRC_GLS_DIRECTORY_H_
@@ -189,8 +194,8 @@ struct SubnodeStats {
   uint64_t cache_misses = 0;         // allow_cached lookups that had to walk pointers
   uint64_t cache_invalidations = 0;  // cache entries dropped by mutations
   uint64_t batch_lookups = 0;        // gls.lookup_batch requests served
-  uint64_t batch_inserts = 0;        // gls.insert_batch requests served
-  uint64_t batch_deletes = 0;        // gls.delete_batch requests served
+  uint64_t batch_inserts = 0;        // gls.insert requests served (any batch size)
+  uint64_t batch_deletes = 0;        // gls.delete requests served (any batch size)
   uint64_t negative_cache_hits = 0;  // lookups answered NotFound from the cache
   uint64_t lookup_alls = 0;          // gls.lookup_all enumerations served here
   uint64_t master_claims = 0;          // gls.claim_master arbitrated here (root)
@@ -312,7 +317,7 @@ class DirectorySubnode {
   void InvalidateCached(const ObjectId& oid, bool quarantine);
 
   // One deregistration applied locally plus its coherence chain; shared by
-  // gls.delete and gls.delete_batch.
+  // gls.delete and gls.scrub_address.
   void ApplyDelete(const ObjectId& oid, const ContactAddress& address,
                    EmptyResponder respond);
 
@@ -324,11 +329,10 @@ class DirectorySubnode {
   void ScrubAddress(const ObjectId& oid, const ContactAddress& address,
                     EmptyResponder respond);
 
-  // Continues an insert by installing the forwarding pointer chain towards the root,
-  // then responds.
-  void PropagatePointerUp(const ObjectId& oid, EmptyResponder respond);
-  // Batched equivalent: one install_ptr_batch message per parent subnode.
-  void PropagatePointerUpBatch(const std::vector<ObjectId>& oids, EmptyResponder respond);
+  // Continues an insert by installing the forwarding pointer chain towards the root
+  // (one gls.install_ptr message per parent subnode the OIDs hash to), then
+  // responds.
+  void PropagatePointerUp(std::vector<ObjectId> oids, EmptyResponder respond);
   // Continues a delete by pruning the pointer chain (and, with caching on,
   // invalidating this node's sibling caches), then responds.
   void PropagateRemoveUp(const ObjectId& oid, EmptyResponder respond);
@@ -436,11 +440,13 @@ class GlsClient {
   // always walks to the root and bypasses every cache.
   void LookupAll(const ObjectId& oid, LookupCallback done);
 
+  // Registers one (OID, address) pair: a one-item InsertBatch.
   void Insert(const ObjectId& oid, const ContactAddress& address, DoneCallback done);
   // Registers many (OID, address) pairs in one round trip per leaf subnode; the
   // aggregate status is OK only if every registration succeeded.
   void InsertBatch(const std::vector<std::pair<ObjectId, ContactAddress>>& items,
                    DoneCallback done);
+  // Deregisters one (OID, address) pair: a one-item DeleteBatch.
   void Delete(const ObjectId& oid, const ContactAddress& address, DoneCallback done);
   // Deregisters many (OID, address) pairs in one round trip per leaf subnode; the
   // aggregate status is OK only if every deregistration succeeded. Mirrors

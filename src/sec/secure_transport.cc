@@ -16,10 +16,9 @@ constexpr uint8_t kFlagEncrypted = 0x01;
 // bytes are charged to the network's traffic counters and then discarded.
 constexpr uint16_t kHandshakeSinkPort = 1;
 
-// The MAC input header: everything but the ciphertext bytes themselves. The
-// streaming path feeds this scratch header and then the ciphertext span into
-// the session's HMAC midstate — same MAC bytes as the legacy concatenation,
-// without materialising the concatenation.
+// The MAC input header: everything but the ciphertext bytes themselves. Sender
+// and receiver feed this scratch header and then the ciphertext span into the
+// session's HMAC midstate, without materialising a concatenation.
 void WriteMacHeader(ByteWriter* w, uint64_t session_id, uint64_t seq,
                     const sim::Endpoint& src, const sim::Endpoint& dst, uint8_t flags,
                     uint64_t ciphertext_len) {
@@ -33,23 +32,23 @@ void WriteMacHeader(ByteWriter* w, uint64_t session_id, uint64_t seq,
   w->WriteU8(flags);
   w->WriteVarint(ciphertext_len);
 }
-
-// Legacy one-shot MAC input (VerifyMode::kPerFrame): one concatenated buffer,
-// ciphertext copy included — the per-frame cost the batched mode amortizes away.
-Bytes MacInput(uint64_t session_id, uint64_t seq, const sim::Endpoint& src,
-               const sim::Endpoint& dst, uint8_t flags, ByteSpan ciphertext) {
-  ByteWriter w;
-  w.WriteU64(session_id);
-  w.WriteU64(seq);
-  w.WriteU32(src.node);
-  w.WriteU16(src.port);
-  w.WriteU32(dst.node);
-  w.WriteU16(dst.port);
-  w.WriteU8(flags);
-  w.WriteLengthPrefixed(ciphertext);
-  return w.Take();
-}
 }  // namespace
+
+bool ReplayWindow::Accept(uint64_t seq) {
+  if (seq >= next) {
+    uint64_t shift = seq + 1 - next;
+    seen = shift >= kSize ? 0 : seen << shift;
+    seen |= 1;
+    next = seq + 1;
+    return true;
+  }
+  uint64_t age = next - 1 - seq;
+  if (age >= kSize || (seen >> age & 1) != 0) {
+    return false;
+  }
+  seen |= uint64_t{1} << age;
+  return true;
+}
 
 SecureTransport::SecureTransport(sim::Transport* inner, const KeyRegistry* registry,
                                  CryptoProfile profile)
@@ -291,15 +290,10 @@ void SecureTransport::OnRawDelivery(const sim::TransportDelivery& delivery) {
                            delivery.payload.Share(*ciphertext),
                            delivery.payload.Share(*mac)};
 
-  if (verify_mode_ == VerifyMode::kPerFrame) {
-    VerifyAndDeliver(frame);
-    return;
-  }
-
-  // Batched mode: pin the frame's views and verify at the end of the wake, so
-  // every frame the backend parsed out of this read shares one flush. The
-  // 0-delay event preserves delivery time on both clocks (virtual and real)
-  // and fires deterministically, so pinned-seed chaos replays are unaffected.
+  // Pin the frame's views and verify at the end of the wake, so every frame
+  // the backend parsed out of this read shares one flush. The 0-delay event
+  // preserves delivery time on both clocks (virtual and real) and fires
+  // deterministically, so pinned-seed chaos replays are unaffected.
   pending_.push_back(std::move(frame));
   if (pending_.size() == 1) {
     inner_->clock()->ScheduleAfter(0, [this, alive = std::weak_ptr<bool>(alive_)]() {
@@ -341,37 +335,25 @@ void SecureTransport::VerifyAndDeliver(PendingSecureFrame& frame) {
   }
   Session& session = sessions_.at(pair_it->second);
 
-  bool mac_ok;
-  if (verify_mode_ == VerifyMode::kPerFrame) {
-    // Legacy cost model: rebuild the key schedule and concatenate the MAC
-    // input for every frame.
-    Bytes expected_input = MacInput(frame.session_id, frame.seq, frame.src, frame.dst,
-                                    frame.flags, frame.ciphertext);
-    mac_ok = VerifyHmacSha256(session.key, expected_input, frame.mac);
-  } else {
-    WriteMacHeader(&mac_scratch_, frame.session_id, frame.seq, frame.src, frame.dst,
-                   frame.flags, frame.ciphertext.size());
-    Sha256 inner_hash = session.mac_key.Start();
-    inner_hash.Update(mac_scratch_.span());
-    inner_hash.Update(frame.ciphertext);
-    mac_ok = session.mac_key.Verify(std::move(inner_hash), frame.mac);
-  }
-  if (!mac_ok) {
+  WriteMacHeader(&mac_scratch_, frame.session_id, frame.seq, frame.src, frame.dst,
+                 frame.flags, frame.ciphertext.size());
+  Sha256 inner_hash = session.mac_key.Start();
+  inner_hash.Update(mac_scratch_.span());
+  inner_hash.Update(frame.ciphertext);
+  if (!session.mac_key.Verify(std::move(inner_hash), frame.mac)) {
     ++stats_.mac_failures;
     GLOG_WARN << "MAC verification failed on frame " << sim::ToString(frame.src)
               << " -> " << sim::ToString(frame.dst) << " (tampered or forged)";
     return;
   }
 
-  // Replay protection: per direction, `last_accepted` holds one past the highest
-  // sequence number accepted so far (0 = nothing accepted yet). Frames at or above it
-  // are fresh; anything below is a replay or stale reordering.
-  uint64_t& last = session.last_accepted[frame.src.node];
-  if (frame.seq < last) {
+  // Replay protection, after the MAC so a forged sequence number cannot move
+  // the window: frames that overtook an earlier one on the way are accepted,
+  // duplicates and frames older than the window are not.
+  if (!session.accepted[frame.src.node].Accept(frame.seq)) {
     ++stats_.replay_rejects;
     return;
   }
-  last = frame.seq + 1;
 
   // Unencrypted channels deliver the ciphertext view itself — zero-copy end to
   // end; decryption is the one true ownership boundary left.

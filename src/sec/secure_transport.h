@@ -16,18 +16,21 @@
 //     handshake_rtts round trips plus handshake CPU. Credential verification against
 //     the KeyRegistry happens here, like certificate verification: in kMutualAuth both
 //     nodes must hold registry-matching credentials, in kServerAuth only the responder.
-//   - Data frames: sequence number per direction (replay protection), optional
-//     encryption under the session key (SHA-256 CTR keystream), and an HMAC-SHA-256
-//     over (session id, seq, endpoints, ciphertext). Tampering — whether injected by
-//     the network's fault injection or by test "attackers" — fails MAC verification
-//     and the frame is dropped and counted.
+//   - Data frames: sequence number per direction, optional encryption under the
+//     session key (SHA-256 CTR keystream), and an HMAC-SHA-256 over (session id,
+//     seq, endpoints, ciphertext). Tampering — whether injected by the network's
+//     fault injection or by test "attackers" — fails MAC verification and the
+//     frame is dropped and counted.
+//   - Replay protection: a per-direction sliding window over the last 64
+//     sequence numbers (as in IPsec ESP, RFC 4303 §3.4.3, and DTLS, RFC 6347
+//     §4.1.2.6). A frame that overtook an earlier one still delivers; a
+//     duplicate, or a frame older than the window, is rejected.
 //   - Delivered frames carry the authenticated peer principal so services can apply
 //     role checks ("only a moderator may add packages", §6.1).
-//   - Inbound verification is batched by default (VerifyMode::kBatched): frames
-//     arriving in one event-loop wake queue as pinned views and are verified
-//     together in a single deferred flush, against the session's precomputed
-//     HMAC midstates. A tampered frame is rejected individually; the rest of
-//     its batch still delivers.
+//   - Inbound verification is batched: frames arriving in one event-loop wake
+//     queue as pinned views and are verified together in a single deferred
+//     flush, against the session's precomputed HMAC midstates. A tampered frame
+//     is rejected individually; the rest of its batch still delivers.
 //
 // Per-byte MAC and cipher costs are charged as extra delivery delay, which is how the
 // benchmarks measure the paper's "paying for confidentiality we do not need" concern.
@@ -75,19 +78,6 @@ struct CryptoProfile {
   uint64_t mac_trailer_bytes = 32;    // HMAC-SHA-256 length on the wire
 };
 
-// How inbound secure frames are MAC-verified.
-enum class VerifyMode : uint8_t {
-  // Legacy: verify each frame the moment it arrives, rebuilding the HMAC key
-  // schedule and concatenating the MAC input per frame. Kept as the baseline
-  // the batched mode is benchmarked against.
-  kPerFrame = 0,
-  // Default: frames arriving in one event-loop wake are queued (their views
-  // pinned) and verified together in a single deferred flush, sharing the
-  // session's precomputed HMAC midstates and one scratch header buffer — the
-  // per-message crypto setup cost amortizes across the batch.
-  kBatched = 1,
-};
-
 struct SecureStats {
   uint64_t handshakes = 0;
   uint64_t frames_sent = 0;
@@ -97,12 +87,24 @@ struct SecureStats {
   uint64_t auth_failures = 0;     // handshake credential verification failures
   uint64_t unknown_session = 0;   // frames naming a session we never established
   uint64_t malformed_frames = 0;
-  uint64_t verify_batches = 0;    // batched mode: flushes executed
-  uint64_t batched_frames = 0;    // batched mode: frames verified across all flushes
-  uint64_t max_batch_frames = 0;  // batched mode: largest single flush
+  uint64_t verify_batches = 0;    // verification flushes executed
+  uint64_t batched_frames = 0;    // frames verified across all flushes
+  uint64_t max_batch_frames = 0;  // largest single flush
   double crypto_us = 0;           // total simulated crypto CPU time
 
   void Clear() { *this = SecureStats(); }
+};
+
+// Sliding anti-replay window over one direction's sequence numbers: `next` is
+// one past the highest sequence accepted, bit i of `seen` marks sequence
+// next - 1 - i as accepted.
+struct ReplayWindow {
+  static constexpr uint64_t kSize = 64;
+  uint64_t next = 0;
+  uint64_t seen = 0;
+
+  // Accepts `seq` unless it was accepted before or is older than the window.
+  bool Accept(uint64_t seq);
 };
 
 class SecureTransport : public sim::Transport {
@@ -116,9 +118,6 @@ class SecureTransport : public sim::Transport {
   void SetNodeCredential(sim::NodeId node, Credential credential);
 
   void SetChannelPolicy(ChannelPolicy policy) { policy_ = std::move(policy); }
-
-  void set_verify_mode(VerifyMode mode) { verify_mode_ = mode; }
-  VerifyMode verify_mode() const { return verify_mode_; }
 
   // sim::Transport interface.
   void Send(const sim::Endpoint& src, const sim::Endpoint& dst, ByteSpan payload) override;
@@ -148,8 +147,8 @@ class SecureTransport : public sim::Transport {
     ChannelConfig config;
     // Authenticated principal per side, kAnonymous if that side is not authenticated.
     std::map<sim::NodeId, PrincipalId> principals;
-    std::map<sim::NodeId, uint64_t> next_seq;      // per sending direction
-    std::map<sim::NodeId, uint64_t> last_accepted; // per receiving direction
+    std::map<sim::NodeId, uint64_t> next_seq;        // per sending direction
+    std::map<sim::NodeId, ReplayWindow> accepted;    // per receiving direction
     // TLS runs over TCP: frames on one channel may not overtake each other. Per
     // sending direction this holds the earliest time the next frame may arrive,
     // initialized to the end of the handshake.
@@ -182,7 +181,7 @@ class SecureTransport : public sim::Transport {
   void OnRawDelivery(const sim::TransportDelivery& delivery);
   // Verifies, replay-checks, decrypts and delivers one secure frame.
   void VerifyAndDeliver(PendingSecureFrame& frame);
-  // Batched mode: drains every frame queued during the wake, in arrival order.
+  // Drains every frame queued during the wake, in arrival order.
   void FlushPending();
 
   sim::Transport* inner_;
@@ -200,8 +199,7 @@ class SecureTransport : public sim::Transport {
   std::map<std::pair<sim::NodeId, uint16_t>, std::shared_ptr<sim::TransportHandler>>
       handlers_;
   SecureStats stats_;
-  VerifyMode verify_mode_ = VerifyMode::kBatched;
-  // Frames queued for the next batched flush (one 0-delay event per wake).
+  // Frames queued for the next verification flush (one 0-delay event per wake).
   std::vector<PendingSecureFrame> pending_;
   // Scratch buffers reused across frames: MAC header bytes and outbound frames.
   ByteWriter mac_scratch_;

@@ -370,9 +370,10 @@ Result<T> DeserializeMessage(ByteSpan data) {
 //     ...
 //   });
 //
-// Methods that mutate state declare it in the same constant
-// (`kGlsInsert{"gls.insert", kNonIdempotent}`), so every server registering the
-// method automatically executes it at most once per call.
+// Methods that mutate state declare it in the same constant (the GLS registers
+// batches of (OID, address) pairs through `kGlsInsert{"gls.insert",
+// kNonIdempotent}`), so every server registering the method automatically
+// executes it at most once per call.
 template <typename Req, typename Resp>
 class TypedMethod {
  public:

@@ -48,6 +48,8 @@ class ByteWriter {
 
   // Clears the contents, retaining capacity for reuse.
   void Reset() { buffer_.clear(); }
+  // Sizes the buffer up front for a message whose length is known in advance.
+  void Reserve(size_t bytes) { buffer_.reserve(bytes); }
 
  private:
   Bytes buffer_;

@@ -243,52 +243,116 @@ TEST(ChaosExactlyOnceTest, DuplicateDeliveredGosWriteMutatesStateOnce) {
   EXPECT_GE(w.network->stats().dropped_per_link.at({master_host, client_host}), 1u);
 }
 
-// Same story one layer down: a duplicate-delivered gls.insert_batch must
-// register its addresses and install its pointer chain exactly once.
-TEST(ChaosExactlyOnceTest, DuplicateDeliveredGlsInsertBatchMutatesStateOnce) {
-  ChaosWorld w(0x615);
-  NodeId client_host = w.world.hosts[5];
-  std::unique_ptr<gls::GlsClient> client = w.deployment->MakeClient(client_host);
+// Same story one layer down, for both client entry points: a one-item Insert
+// or Delete and a batch travel through the same gls.insert / gls.delete
+// handler, so each must be exactly-once under duplicate delivery.
+enum class GlsCallShape { kSingle, kBatch };
 
-  Rng rng(7);
-  ObjectId oid = ObjectId::Generate(&rng);
-  gls::ContactAddress address{{client_host, 4242}, dso::kProtoMasterSlave,
-                              gls::ReplicaRole::kMaster};
-  sim::Endpoint leaf = client->leaf_directory().Route(oid);
+class ChaosGlsExactlyOnceTest : public ::testing::TestWithParam<GlsCallShape> {
+ protected:
+  ChaosGlsExactlyOnceTest() : w(0x615), client_host(w.world.hosts[5]) {
+    client = w.deployment->MakeClient(client_host);
+    Rng rng(7);
+    oid = ObjectId::Generate(&rng);
+    address = {{client_host, 4242}, dso::kProtoMasterSlave, gls::ReplicaRole::kMaster};
+    leaf = client->leaf_directory().Route(oid);
+    for (const auto& subnode : w.deployment->subnodes()) {
+      if (subnode->endpoint() == leaf) {
+        leaf_subnode = subnode.get();
+      }
+    }
+  }
 
-  // Lose the leaf subnode's responses past the client's 30 s attempt deadline,
-  // so the default write retry (3 attempts, 200 ms backoff) repeats the batch.
-  w.network->SetLinkDropProbability(leaf.node, client_host, 1.0);
-  w.simulator.ScheduleAt(31 * kSecond, [&] {
-    w.network->ClearLinkDropProbability(leaf.node, client_host);
-  });
+  // Registers (or deregisters) `address` through the parameter's entry point
+  // and runs the simulator dry.
+  Status Mutate(bool insert) {
+    Status status = Unavailable("pending");
+    auto done = [&status](Status s) { status = s; };
+    if (GetParam() == GlsCallShape::kSingle) {
+      insert ? client->Insert(oid, address, done) : client->Delete(oid, address, done);
+    } else {
+      insert ? client->InsertBatch({{oid, address}}, done)
+             : client->DeleteBatch({{oid, address}}, done);
+    }
+    w.simulator.Run();
+    return status;
+  }
 
-  Status status = Unavailable("pending");
-  client->InsertBatch({{oid, address}}, [&](Status s) { status = s; });
-  w.simulator.Run();
+  // Loses the leaf subnode's responses for the next 31 s — past the client's
+  // 30 s attempt deadline — so the default write retry (3 attempts, 200 ms
+  // backoff) repeats the call.
+  void LoseLeafResponses() {
+    w.network->SetLinkDropProbability(leaf.node, client_host, 1.0);
+    w.simulator.ScheduleAt(w.simulator.Now() + 31 * kSecond, [this] {
+      w.network->ClearLinkDropProbability(leaf.node, client_host);
+    });
+  }
+
+  uint64_t TotalStat(uint64_t gls::SubnodeStats::*field) const {
+    uint64_t total = 0;
+    for (const auto& subnode : w.deployment->subnodes()) {
+      total += subnode->stats().*field;
+    }
+    return total;
+  }
+
+  ChaosWorld w;
+  NodeId client_host;
+  std::unique_ptr<gls::GlsClient> client;
+  ObjectId oid;
+  gls::ContactAddress address;
+  sim::Endpoint leaf;
+  const gls::DirectorySubnode* leaf_subnode = nullptr;
+};
+
+TEST_P(ChaosGlsExactlyOnceTest, DuplicateDeliveredInsertMutatesStateOnce) {
+  ASSERT_NE(leaf_subnode, nullptr);
+  LoseLeafResponses();
+  Status status = Mutate(/*insert=*/true);
   ASSERT_TRUE(status.ok()) << status;
   EXPECT_GE(client->channel().stats().retries, 1u);
 
-  // Find the leaf subnode the batch was executed on.
-  const gls::DirectorySubnode* leaf_subnode = nullptr;
-  int leaf_depth = 0;
-  uint64_t total_pointer_installs = 0;
-  for (const auto& subnode : w.deployment->subnodes()) {
-    total_pointer_installs += subnode->stats().pointer_installs;
-    if (subnode->endpoint() == leaf) {
-      leaf_subnode = subnode.get();
-      leaf_depth = subnode->depth();
-    }
-  }
-  ASSERT_NE(leaf_subnode, nullptr);
-  // One execution: one batch served, one insert applied, one address stored.
+  // One execution: one request served, one insert applied, one address stored.
   EXPECT_EQ(leaf_subnode->stats().batch_inserts, 1u);
   EXPECT_EQ(leaf_subnode->stats().inserts, 1u);
   EXPECT_EQ(leaf_subnode->NumAddresses(oid), 1u);
   // The pointer chain above was installed exactly once per ancestor level — a
-  // re-executed duplicate would have doubled these counters.
-  EXPECT_EQ(total_pointer_installs, static_cast<uint64_t>(leaf_depth));
+  // re-executed duplicate would have doubled this counter.
+  EXPECT_EQ(TotalStat(&gls::SubnodeStats::pointer_installs),
+            static_cast<uint64_t>(leaf_subnode->depth()));
 }
+
+// A delete whose response is lost: the retry must replay the first execution's
+// OK instead of re-running the delete, which would find nothing and answer
+// NotFound.
+TEST_P(ChaosGlsExactlyOnceTest, LostDeleteResponseRetriesToOk) {
+  ASSERT_NE(leaf_subnode, nullptr);
+  ASSERT_TRUE(Mutate(/*insert=*/true).ok());
+  uint64_t retries_before = client->channel().stats().retries;
+
+  LoseLeafResponses();
+  Status status = Mutate(/*insert=*/false);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_GE(client->channel().stats().retries, retries_before + 1);
+
+  // One execution: one delete applied, the address gone, and the pointer
+  // chain above pruned once per ancestor level.
+  EXPECT_EQ(leaf_subnode->stats().batch_deletes, 1u);
+  EXPECT_EQ(leaf_subnode->stats().deletes, 1u);
+  EXPECT_EQ(leaf_subnode->NumAddresses(oid), 0u);
+  EXPECT_EQ(TotalStat(&gls::SubnodeStats::pointer_removes),
+            static_cast<uint64_t>(leaf_subnode->depth()));
+  for (const auto& subnode : w.deployment->subnodes()) {
+    EXPECT_EQ(subnode->NumPointers(oid), 0u) << "depth " << subnode->depth();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CallShapes, ChaosGlsExactlyOnceTest,
+                         ::testing::Values(GlsCallShape::kSingle, GlsCallShape::kBatch),
+                         [](const ::testing::TestParamInfo<GlsCallShape>& info) {
+                           return info.param == GlsCallShape::kSingle ? "Single"
+                                                                      : "Batch";
+                         });
 
 // ---------------------------------------------------------- crash/restart
 

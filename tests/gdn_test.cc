@@ -464,5 +464,50 @@ TEST_F(SecureGdnWorldTest, ModeratorCanModifyPackage) {
   EXPECT_TRUE(status.ok()) << status;
 }
 
+// Many binds in flight through one HTTPD put several frames in flight on each
+// of its secure channels (to the DNS resolver, the GLS, the object servers),
+// and crypto hold-back lets a later frame overtake an earlier one. The replay
+// window must accept the earlier frame rather than drop it as a replay and
+// leave its request to time out: a strict in-order check fails 4 of these 16
+// downloads on "rpc deadline exceeded: dns.resolve".
+TEST(SecureGdnConcurrencyTest, ConcurrentBindsThroughOneHttpdAllSucceed) {
+  GdnWorldConfig config;
+  config.fanouts = {4, 4, 2};
+  config.user_hosts_per_site = 4;
+  config.secure = true;
+  GdnWorld world(config);
+  const size_t countries = world.num_countries();
+  constexpr int kPackages = 16;
+  for (int p = 0; p < kPackages; ++p) {
+    std::map<std::string, Bytes> files = {{"f", ToBytes("package " + std::to_string(p))}};
+    size_t master = (p * 5) % countries;
+    std::vector<size_t> slaves = {(master + 1) % countries};
+    ASSERT_TRUE(world
+                    .PublishPackage("/apps/p" + std::to_string(p), files,
+                                    dso::kProtoMasterSlave, master, slaves)
+                    .ok());
+  }
+  world.secure_transport()->mutable_stats()->Clear();
+
+  constexpr size_t kHttpd = 6;
+  std::vector<std::unique_ptr<Browser>> browsers;
+  int ok = 0;
+  for (int p = 0; p < kPackages; ++p) {
+    size_t user = (p + kHttpd * 7) % world.user_hosts().size();
+    browsers.push_back(world.MakeBrowser(world.user_hosts()[user]));
+    browsers.back()->Fetch(world.HttpdOf(kHttpd)->node(),
+                           "/packages/apps/p" + std::to_string(p) + "/files/f",
+                           [&ok, p](Result<http::HttpResponse> r) {
+                             ASSERT_TRUE(r.ok()) << "package " << p << ": " << r.status();
+                             EXPECT_EQ(r->status_code, 200) << "package " << p;
+                             EXPECT_EQ(ToString(r->body), "package " + std::to_string(p));
+                             ++ok;
+                           });
+  }
+  world.Run();
+  EXPECT_EQ(ok, kPackages);
+  EXPECT_EQ(world.secure_transport()->stats().replay_rejects, 0u);
+}
+
 }  // namespace
 }  // namespace globe::gdn

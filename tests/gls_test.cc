@@ -482,6 +482,46 @@ TEST(LookupCacheTest, InvalidateQuarantinesReadmission) {
   EXPECT_NE(cache.Get(oid, later + 1), nullptr);
 }
 
+// More live quarantines than cache entries: each one still blocks Put until it
+// lapses, and lapsed ones leave the map as time moves on instead of waiting
+// for a full rescan.
+TEST(LookupCacheTest, QuarantinesBeyondCapacityBlockThenLapse) {
+  constexpr size_t kMaxEntries = 4;
+  constexpr int kQuarantined = 100;
+  LookupCache cache(/*ttl=*/1000 * sim::kSecond, kMaxEntries);
+  Rng rng(24);
+  ContactAddress address{{7, sim::kPortGos}, 1, ReplicaRole::kMaster};
+  std::vector<ObjectId> oids;
+  for (int i = 0; i < kQuarantined; ++i) {
+    oids.push_back(ObjectId::Generate(&rng));
+    cache.Invalidate(oids.back(), /*now=*/i * sim::kMillisecond);
+  }
+  EXPECT_EQ(cache.quarantined(), static_cast<size_t>(kQuarantined));
+
+  // Just before the first quarantine lapses every OID is still refused.
+  sim::SimTime before = LookupCache::kPutQuarantine - 1;
+  for (const ObjectId& oid : oids) {
+    cache.Put(oid, {address}, 3, before);
+    EXPECT_EQ(cache.Get(oid, before), nullptr);
+  }
+  EXPECT_EQ(cache.size(), 0u);
+
+  // Once OIDs 0..50 have lapsed, the next invalidation drops exactly those:
+  // OIDs 51..99 and the new one remain.
+  sim::SimTime half = LookupCache::kPutQuarantine + 50 * sim::kMillisecond;
+  cache.Invalidate(ObjectId::Generate(&rng), half);
+  EXPECT_EQ(cache.quarantined(), 50u);
+  cache.Put(oids.front(), {address}, 3, half);
+  EXPECT_NE(cache.Get(oids.front(), half), nullptr);
+  cache.Put(oids.back(), {address}, 3, half);
+  EXPECT_EQ(cache.Get(oids.back(), half), nullptr);
+
+  // After the last one lapses only the newest quarantine is left.
+  sim::SimTime after = LookupCache::kPutQuarantine + kQuarantined * sim::kMillisecond;
+  cache.Invalidate(oids.front(), after);
+  EXPECT_EQ(cache.quarantined(), 2u);
+}
+
 TEST(LookupCacheTest, EvictsSoonestToExpireWhenFull) {
   LookupCache cache(/*ttl=*/1000, /*max_entries=*/2);
   Rng rng(23);
@@ -893,7 +933,7 @@ TEST_F(GlsTreeTest, CrashedDirectoryMakesLookupsFailThenRecoverAfterRestart) {
   EXPECT_EQ(result->addresses[0].endpoint.node, world_.hosts[0]);
 }
 
-// ---------------------------------------------------------------- delete_batch
+// ----------------------------------------------------------------- DeleteBatch
 
 TEST_F(GlsTreeTest, DeleteBatchDeregistersAllInOneRoundTrip) {
   std::vector<std::pair<ObjectId, ContactAddress>> items;

@@ -211,7 +211,7 @@ TEST_F(GosTest, RestoreReregistersAllReplicasInOneBatch) {
   ASSERT_TRUE(restore_status.ok()) << restore_status;
   ASSERT_EQ(gos_a_->num_replicas(), 4u);
 
-  // All four fresh addresses went to the leaf directory in one insert_batch.
+  // All four fresh addresses went to the leaf directory in one gls.insert.
   EXPECT_EQ(leaf_subnodes[0]->stats().batch_inserts, batches_before + 1);
   EXPECT_EQ(leaf_subnodes[0]->stats().inserts, inserts_before + 4);
 
@@ -248,7 +248,7 @@ TEST_F(GosTest, DecommissionRemovesAllReplicasInOneDeleteBatch) {
   EXPECT_EQ(gos_a_->num_replicas(), 0u);
   EXPECT_EQ(gos_a_->stats().replicas_removed, 4u);
 
-  // All four deregistrations went to the leaf directory in one delete_batch.
+  // All four deregistrations went to the leaf directory in one gls.delete.
   EXPECT_EQ(leaf_subnodes[0]->stats().batch_deletes, batches_before + 1);
   EXPECT_EQ(leaf_subnodes[0]->stats().deletes, deletes_before + 4);
 

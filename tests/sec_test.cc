@@ -285,6 +285,29 @@ TEST_F(SecureTransportTest, RawInjectionWithoutSessionIsRejected) {
   EXPECT_EQ(transport_.stats().unknown_session, 1u);
 }
 
+// Frames that overtook an earlier one are accepted; duplicates and frames
+// older than the window are not.
+TEST(ReplayWindowTest, AcceptsReorderingRejectsReplaysAndStaleFrames) {
+  ReplayWindow window;
+  EXPECT_TRUE(window.Accept(0));
+  EXPECT_TRUE(window.Accept(2));   // overtook seq 1
+  EXPECT_TRUE(window.Accept(1));   // the late one still delivers
+  EXPECT_FALSE(window.Accept(1));  // ...once
+  EXPECT_FALSE(window.Accept(2));
+
+  // A jump leaves the skipped sequence numbers open inside the window.
+  EXPECT_TRUE(window.Accept(2 + ReplayWindow::kSize));
+  EXPECT_TRUE(window.Accept(4));
+  EXPECT_FALSE(window.Accept(4));
+  EXPECT_TRUE(window.Accept(3));   // the oldest slot still in the window
+  EXPECT_FALSE(window.Accept(2));  // one past it: too old to tell from a replay
+
+  // A jump wider than the window forgets everything before it.
+  EXPECT_TRUE(window.Accept(1000));
+  EXPECT_FALSE(window.Accept(1000 - ReplayWindow::kSize));
+  EXPECT_TRUE(window.Accept(1000 - ReplayWindow::kSize + 1));
+}
+
 TEST_F(SecureTransportTest, ReplayedFrameIsRejected) {
   // Capture legitimate frames off the wire, then re-inject them.
   std::vector<std::pair<std::pair<Endpoint, Endpoint>, Bytes>> captured;
