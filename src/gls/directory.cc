@@ -35,8 +35,7 @@ struct AddressRequest {  // gls.scrub_address
 // The (oid, address) pairs run to the end of the payload with no count, so a
 // batch of one costs exactly the bytes of one pair.
 struct BatchAddressRequest {  // gls.insert / gls.delete
-  // Wire size of one pair: a 16-byte OID plus a 9-byte contact address.
-  static constexpr size_t kItemBytes = ObjectId::kSize + 9;
+  static constexpr size_t kItemBytes = ObjectId::kSize + ContactAddress::kWireSize;
 
   std::vector<std::pair<ObjectId, ContactAddress>> items;
 
@@ -391,26 +390,24 @@ void FanOut(size_t n, EmptyCallback respond, Issue issue) {
 
 // Sends a non-empty batch as one call per subnode of `ref` its items hash to,
 // in subnode order and first-seen order within a subnode, joining the replies
-// into `respond`. A batch that hashes to one subnode — always so for a single
-// item — goes out whole, without regrouping.
+// into `respond`.
 template <typename Item, typename OidOf, typename Send>
 void SendBySubnode(const DirectoryRef& ref, std::vector<Item> items, OidOf oid_of,
                    EmptyCallback respond, Send send) {
-  size_t first = ref.SubnodeIndex(oid_of(items.front()));
-  if (std::all_of(items.begin(), items.end(), [&](const Item& item) {
-        return ref.SubnodeIndex(oid_of(item)) == first;
-      })) {
-    send(first, std::move(items), std::move(respond));
-    return;
-  }
-  std::map<size_t, std::vector<Item>> groups;
+  std::vector<std::vector<Item>> groups(ref.subnodes.size());
+  size_t nonempty = 0;
   for (Item& item : items) {
-    groups[ref.SubnodeIndex(oid_of(item))].push_back(std::move(item));
+    std::vector<Item>& group = groups[ref.SubnodeIndex(oid_of(item))];
+    nonempty += group.empty();
+    group.push_back(std::move(item));
   }
-  auto group = groups.begin();
-  FanOut(groups.size(), std::move(respond), [&](size_t, EmptyCallback done) {
-    send(group->first, std::move(group->second), std::move(done));
-    ++group;
+  size_t subnode = 0;
+  FanOut(nonempty, std::move(respond), [&](size_t, EmptyCallback done) {
+    while (groups[subnode].empty()) {
+      ++subnode;
+    }
+    send(subnode, std::move(groups[subnode]), std::move(done));
+    ++subnode;
   });
 }
 
@@ -587,7 +584,7 @@ DirectorySubnode::DirectorySubnode(sim::Transport* transport, sim::NodeId host,
       std::erase_if(oids,
                     [&seen](const ObjectId& oid) { return !seen.insert(oid).second; });
     }
-    PropagatePointerUp(std::move(oids), std::move(respond));
+    InstallPointersUp(std::move(oids), std::move(respond));
   });
 
   kGlsDelete.RegisterAsync(&server_, [this](const sim::RpcContext& context,
@@ -637,7 +634,7 @@ DirectorySubnode::DirectorySubnode(sim::Transport* transport, sim::NodeId host,
     FanOut(to_parent + chain_ends.size(), std::move(respond),
            [&](size_t i, EmptyCallback done) {
              if (i < to_parent) {
-               PropagatePointerUp(std::move(request.oids), std::move(done));
+               InstallPointersUp(std::move(request.oids), std::move(done));
              } else {
                PropagateInvalUp(chain_ends[i - to_parent], /*include_siblings=*/true,
                                 /*quarantine=*/false, std::move(done));
@@ -1224,8 +1221,8 @@ void DirectorySubnode::ScrubAddress(const ObjectId& oid, const ContactAddress& a
   });
 }
 
-void DirectorySubnode::PropagatePointerUp(std::vector<ObjectId> oids,
-                                          EmptyResponder respond) {
+void DirectorySubnode::InstallPointersUp(std::vector<ObjectId> oids,
+                                         EmptyResponder respond) {
   if (parent_.empty() || oids.empty()) {
     respond(sim::EmptyMessage{});
     return;

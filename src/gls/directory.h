@@ -332,7 +332,7 @@ class DirectorySubnode {
   // Continues an insert by installing the forwarding pointer chain towards the root
   // (one gls.install_ptr message per parent subnode the OIDs hash to), then
   // responds.
-  void PropagatePointerUp(std::vector<ObjectId> oids, EmptyResponder respond);
+  void InstallPointersUp(std::vector<ObjectId> oids, EmptyResponder respond);
   // Continues a delete by pruning the pointer chain (and, with caching on,
   // invalidating this node's sibling caches), then responds.
   void PropagateRemoveUp(const ObjectId& oid, EmptyResponder respond);

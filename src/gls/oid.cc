@@ -66,6 +66,11 @@ std::string_view ReplicaRoleName(ReplicaRole role) {
   return "?";
 }
 
+static_assert(sizeof(sim::Endpoint::node) + sizeof(sim::Endpoint::port) +
+                      sizeof(ContactAddress::protocol) + sizeof(ContactAddress::role) ==
+                  ContactAddress::kWireSize,
+              "ContactAddress::kWireSize must match the fields Serialize writes");
+
 void ContactAddress::Serialize(ByteWriter* writer) const {
   writer->WriteU32(endpoint.node);
   writer->WriteU16(endpoint.port);

@@ -62,6 +62,9 @@ struct ContactAddress {
   ProtocolId protocol = 0;
   ReplicaRole role = ReplicaRole::kMaster;
 
+  // Serialized size: node (u32), port (u16), protocol (u16), role (u8).
+  static constexpr size_t kWireSize = 9;
+
   bool operator==(const ContactAddress&) const = default;
   auto operator<=>(const ContactAddress&) const = default;
 

@@ -194,11 +194,14 @@ void SecureTransport::Send(const sim::Endpoint& src, const sim::Endpoint& dst,
   frame_scratch_.WriteLengthPrefixed(ciphertext);
   frame_scratch_.WriteLengthPrefixed(mac);
 
-  // Enforce per-direction FIFO delivery (TCP semantics under TLS): delay the frame
-  // until at least the channel's delivery floor, then advance the floor. Crypto CPU
-  // and floor padding are charged by holding the frame back on the clock before it
-  // enters the inner transport, so the arrival time matches the old model exactly:
-  // send time + extra + the inner transport's own delay.
+  // Pad the frame's delivery time up to the channel's delivery floor, then advance
+  // the floor. The floor is computed from the inner transport's estimated delay, not
+  // the frame's real arrival, so it does not guarantee arrival order: a later frame
+  // can still overtake an earlier one, and the receiver's ReplayWindow accepts such
+  // reordering up to ReplayWindow::kSize frames deep. Crypto CPU and floor padding
+  // are charged by holding the frame back on the clock before it enters the inner
+  // transport, so the arrival time matches the old model exactly: send time + extra
+  // + the inner transport's own delay.
   double base_delay =
       inner_->EstimateDeliveryDelayUs(src.node, dst.node, frame_scratch_.size());
   double now = static_cast<double>(inner_->clock()->Now());

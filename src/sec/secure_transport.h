@@ -149,9 +149,11 @@ class SecureTransport : public sim::Transport {
     std::map<sim::NodeId, PrincipalId> principals;
     std::map<sim::NodeId, uint64_t> next_seq;        // per sending direction
     std::map<sim::NodeId, ReplayWindow> accepted;    // per receiving direction
-    // TLS runs over TCP: frames on one channel may not overtake each other. Per
-    // sending direction this holds the earliest time the next frame may arrive,
-    // initialized to the end of the handshake.
+    // Per sending direction, the earliest time the next frame is scheduled to
+    // arrive, initialized to the end of the handshake. It only pads delivery time
+    // (from the inner transport's estimated delay); arrival order is not
+    // guaranteed, and `accepted` absorbs reordering up to ReplayWindow::kSize
+    // frames.
     std::map<sim::NodeId, double> delivery_floor;
   };
 
