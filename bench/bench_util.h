@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/sim/clock.h"
@@ -81,13 +82,16 @@ class JsonReport {
     if (out == nullptr) return;
     // Host-side cost of producing the report: every bench carries these two, so
     // the perf trajectory can watch engine wall time and memory, not just the
-    // virtual-time tables.
+    // virtual-time tables. The core count and build type say which host and
+    // build those host-side figures came from.
     std::fprintf(out,
                  "{\n  \"id\": %s,\n  \"title\": %s,\n"
+                 "  \"cores\": %u,\n  \"build_type\": %s,\n"
                  "  \"wall_seconds\": %.3f,\n  \"peak_rss_mb\": %.1f,\n"
                  "  \"notes\": [",
-                 Quote(id_).c_str(), Quote(what_).c_str(), wall_.Seconds(),
-                 PeakRssMb());
+                 Quote(id_).c_str(), Quote(what_).c_str(),
+                 std::thread::hardware_concurrency(), Quote(GLOBE_BUILD_TYPE).c_str(),
+                 wall_.Seconds(), PeakRssMb());
     for (size_t i = 0; i < notes_.size(); ++i) {
       std::fprintf(out, "%s\n    %s", i == 0 ? "" : ",", Quote(notes_[i]).c_str());
     }
@@ -192,10 +196,7 @@ class Table {
         width_(column_width),
         json_index_(JsonReport::Get().AddTable(headers)) {
     std::printf("\n");
-    for (const auto& header : headers) {
-      std::printf("%-*s", width_, header.c_str());
-    }
-    std::printf("\n");
+    PrintCells(headers);
     for (size_t i = 0; i < num_columns_ * static_cast<size_t>(width_); ++i) {
       std::printf("-");
     }
@@ -204,13 +205,19 @@ class Table {
 
   void Row(const std::vector<std::string>& cells) {
     JsonReport::Get().AddRow(json_index_, cells);
+    PrintCells(cells);
+  }
+
+ private:
+  // Pads each cell to the column width, but always leaves at least one space
+  // before the next cell so a long cell cannot run into its neighbour.
+  void PrintCells(const std::vector<std::string>& cells) const {
     for (const auto& cell : cells) {
-      std::printf("%-*s", width_, cell.c_str());
+      std::printf("%-*s ", width_ - 1, cell.c_str());
     }
     std::printf("\n");
   }
 
- private:
   size_t num_columns_;
   int width_;
   size_t json_index_;

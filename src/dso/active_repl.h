@@ -8,12 +8,16 @@
 // not state, travel on the wire, which is what distinguishes this protocol from
 // master/slave for large objects with small updates.
 //
-// Membership, epochs and sequencer fail-over ride on the shared dso::ReplicaGroup
-// layer: applies are epoch-fenced (a deposed sequencer's broadcasts are refused),
-// and with fail-over enabled a member that misses lease renewals races
-// gls.claim_master and can be elected the new sequencer.
+// The write pipeline — fan-out, quorum votes, commit floor, rollback,
+// registration, and sequencer fail-over on the shared dso::ReplicaGroup layer
+// — is the shared dso::PrimaryBackupReplica core (src/dso/replica_core.h).
+// What active replication adds is the update it fans out (the invocation) and
+// its follower side: an ordered pending buffer that executes strictly in
+// version order up to the commit floor, and a resync from the sequencer when
+// the floor moves past a hole no later broadcast can fill.
 //
-// Peer methods (beyond dso.invoke / dso.get_state / dso.lease):
+// Peer methods (beyond the core's dso.invoke / dso.get_state /
+// dso.master_endpoint / dso.lease):
 //   ar.register : endpoint -> VersionedState      (member joins at the sequencer)
 //   ar.order    : Invocation -> result bytes      (member -> sequencer)
 //   ar.apply    : version, epoch, Invocation -> PushAck (sequencer -> members)
@@ -21,20 +25,14 @@
 #ifndef SRC_DSO_ACTIVE_REPL_H_
 #define SRC_DSO_ACTIVE_REPL_H_
 
-#include <deque>
 #include <map>
 #include <memory>
-#include <vector>
 
-#include "src/dso/comm.h"
-#include "src/dso/protocols.h"
-#include "src/dso/replica_group.h"
-#include "src/dso/subobjects.h"
-#include "src/dso/wire.h"
+#include "src/dso/replica_core.h"
 
 namespace globe::dso {
 
-class ActiveReplMember : public ReplicationObject {
+class ActiveReplMember : public PrimaryBackupReplica {
  public:
   // Sequencer: pass an empty sequencer endpoint (node == kNoNode). Member: pass
   // the sequencer's contact endpoint.
@@ -42,48 +40,32 @@ class ActiveReplMember : public ReplicationObject {
                    std::unique_ptr<SemanticsObject> semantics, sim::Endpoint sequencer,
                    WriteGuard write_guard = nullptr, FailoverConfig failover = {});
 
-  void Start(std::function<void(Status)> done) override;
-  void Shutdown(std::function<void(Status)> done) override;
-
-  void Invoke(const Invocation& invocation, InvokeCallback done) override;
-  uint64_t version() const override { return version_; }
-  uint64_t epoch() const override { return group_.epoch(); }
-  void set_epoch(uint64_t e) override { group_.set_epoch(e); }
-  std::optional<gls::ContactAddress> contact_address() const override {
-    return gls::ContactAddress{comm_.endpoint(), kProtoActiveRepl,
-                               ToReplicaRole(group_.role())};
-  }
-
   bool is_sequencer() const { return group_.is_master(); }
   size_t num_members() const { return group_.num_members(); }
-  SemanticsObject* semantics() override { return semantics_.get(); }
-  void set_version(uint64_t v) override { version_ = v; }
-  const ReplicaGroup* group() const override { return &group_; }
-  void set_access_hook(AccessHook hook) override { access_hook_ = std::move(hook); }
 
  private:
-  // A write waiting for the single in-flight quorum ordering round (quorum
-  // mode serializes writes at the sequencer; see master_slave.h).
-  struct QueuedWrite {
-    Invocation invocation;
-    sim::NodeId client;
-    InvokeCallback done;
-  };
+  // Broadcasts the ordered invocation, epoch-stamped, to every member.
+  void FanOutUpdate(const Invocation& invocation, uint64_t committed,
+                    uint64_t commit_point,
+                    std::function<void(const FanOutResult&)> done) override;
+  // Executes the buffered writes the commit floor has reached; a floor past
+  // the contiguous suffix exposes a hole only a snapshot can fill.
+  void ApplyCommitted(uint64_t floor) override;
+  void DiscardUncommitted() override { pending_.clear(); }
+  // Applied version plus the contiguous buffered suffix (a member with a hole
+  // cannot count anything past it — it could not materialize those if elected).
+  uint64_t DurableVersion() const override {
+    uint64_t durable = version_;
+    while (pending_.find(durable + 1) != pending_.end()) {
+      ++durable;
+    }
+    return durable;
+  }
+  const sim::TypedMethod<EndpointMessage, VersionedState>& RegisterMethod()
+      const override;
+  const sim::TypedMethod<Invocation, Bytes>& ForwardMethod() const override;
+  const Vocabulary& Words() const override;
 
-  // Reads are recorded at the serving member; writes once, at the sequencer
-  // that orders them (broadcast applies at other members are not accesses).
-  void InvokeFrom(const Invocation& invocation, sim::NodeId client,
-                  InvokeCallback done);
-  // Sequencer side: orders a write, applies it, broadcasts it; responds with the
-  // local execution result once every member acknowledged. A fenced broadcast
-  // (a member moved to a newer epoch) fails the write unacknowledged.
-  void OrderWrite(const Invocation& invocation, sim::NodeId client,
-                  InvokeCallback done);
-  // Quorum ordering pump: one write in flight, refused up front without a
-  // reachable quorum, rolled back (state and version slot) unless a majority
-  // durably holds it and the commit floor was published before the ack.
-  void PumpQuorumOrders();
-  void RollbackWrite();
   // Member side: applies broadcast writes strictly in version order. In quorum
   // mode a write executes only once the commit floor reaches it; above the
   // floor it stays buffered in pending_ — held durably, reported in
@@ -92,36 +74,12 @@ class ActiveReplMember : public ReplicationObject {
   // Executes every buffered consecutive write the commit floor has reached;
   // returns the first apply error (the write stays buffered for retry).
   Status DrainPending();
-  // Applied version plus the contiguous buffered suffix (a member with a hole
-  // cannot count anything past it — it could not materialize those if elected).
-  uint64_t DurableVersion() const {
-    uint64_t durable = version_;
-    while (pending_.find(durable + 1) != pending_.end()) {
-      ++durable;
-    }
-    return durable;
-  }
   // A member that learns a commit floor past its contiguous suffix has a hole
   // it can never fill from broadcasts alone: resync from the sequencer.
   void MaybeResync();
-  // Registration handshake: join at the sequencer, adopt snapshot and epoch.
-  void RegisterWithSequencer(std::function<void(Status)> done);
 
-  CommunicationObject comm_;
-  std::unique_ptr<SemanticsObject> semantics_;
-  WriteGuard write_guard_;
-  sim::Endpoint sequencer_;                 // meaningful while not the sequencer
-  ReplicaGroup group_;
   std::map<uint64_t, Invocation> pending_;  // out-of-order buffer (members)
-  uint64_t version_ = 0;
-  AccessHook access_hook_;
-  std::deque<QueuedWrite> write_queue_;  // sequencer side, quorum mode
-  bool write_in_flight_ = false;
   bool resync_in_flight_ = false;
-  // Rollback point of the in-flight quorum write; also what registration
-  // snapshots hand out mid-write.
-  Bytes pre_write_state_;
-  uint64_t pre_write_version_ = 0;
 };
 
 }  // namespace globe::dso

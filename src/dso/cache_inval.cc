@@ -2,8 +2,6 @@
 
 #include <memory>
 
-#include "src/util/log.h"
-
 namespace globe::dso {
 
 namespace {
@@ -19,35 +17,8 @@ const sim::TypedMethod<VersionMessage, PushAck> kCiInvalidate{"ci.invalidate"};
 CacheInvalMaster::CacheInvalMaster(sim::Transport* transport, sim::NodeId host,
                                    std::unique_ptr<SemanticsObject> semantics,
                                    WriteGuard write_guard)
-    : comm_(transport, host),
-      semantics_(std::move(semantics)),
-      write_guard_(std::move(write_guard)),
-      group_(&comm_, GroupRole::kMaster) {
-  comm_.RegisterAsync(kDsoInvoke, [this](const sim::RpcContext& ctx,
-                                         Invocation invocation,
-                                         std::function<void(Result<Bytes>)> respond) {
-    if (!invocation.read_only && write_guard_) {
-      if (Status s = write_guard_(ctx); !s.ok()) {
-        respond(s);
-        return;
-      }
-    }
-    InvokeFrom(invocation, ctx.client.node,
-               [respond = std::move(respond)](Result<Bytes> result) {
-                 respond(std::move(result));
-               });
-  });
-  comm_.Register(kDsoGetState,
-                 [this](const sim::RpcContext&,
-                        const sim::EmptyMessage&) -> Result<VersionedState> {
-                   return VersionedState{version_, group_.epoch(), version_,
-                                         semantics_->GetState()};
-                 });
-  comm_.Register(kDsoMasterEndpoint,
-                 [this](const sim::RpcContext&,
-                        const sim::EmptyMessage&) -> Result<EndpointMessage> {
-                   return EndpointMessage{comm_.endpoint()};
-                 });
+    : ServingReplica(transport, host, std::move(semantics), std::move(write_guard),
+                     kProtoCacheInval, GroupRole::kMaster) {
   comm_.Register(kCiRegister,
                  [this](const sim::RpcContext&,
                         const EndpointMessage& request) -> Result<VersionMessage> {
@@ -69,39 +40,15 @@ CacheInvalMaster::CacheInvalMaster(sim::Transport* transport, sim::NodeId host,
                  });
 }
 
-void CacheInvalMaster::Invoke(const Invocation& invocation, InvokeCallback done) {
-  InvokeFrom(invocation, comm_.endpoint().node, std::move(done));
-}
-
-void CacheInvalMaster::InvokeFrom(const Invocation& invocation, sim::NodeId client,
-                                  InvokeCallback done) {
-  if (group_.retired()) {
-    group_.CountRetiredRefusal();
-    done(FailedPrecondition("replica retired (object migrated); rebind"));
-    return;
-  }
-  if (invocation.read_only) {
-    Result<Bytes> result = semantics_->Invoke(invocation);
-    if (access_hook_ && result.ok()) {
-      access_hook_(AccessSample{false, result->size(), client});
-    }
-    done(std::move(result));
-    return;
-  }
-  ExecuteWrite(invocation, client, std::move(done));
-}
-
-void CacheInvalMaster::ExecuteWrite(const Invocation& invocation, sim::NodeId client,
-                                    InvokeCallback done) {
+void CacheInvalMaster::Write(const Invocation& invocation, sim::NodeId client,
+                             InvokeCallback done) {
   Result<Bytes> result = semantics_->Invoke(invocation);
   if (!result.ok()) {
     done(std::move(result));
     return;
   }
   ++version_;
-  if (access_hook_) {
-    access_hook_(AccessSample{true, invocation.args.size(), client});
-  }
+  RecordWrite(invocation, client);
 
   // Invalidations through the group fan-out, retrying on loss: the cache
   // compares versions, so a duplicate invalidation is harmless, and a lost one
@@ -122,36 +69,9 @@ void CacheInvalMaster::ExecuteWrite(const Invocation& invocation, sim::NodeId cl
 CacheInvalCache::CacheInvalCache(sim::Transport* transport, sim::NodeId host,
                                  std::unique_ptr<SemanticsObject> semantics,
                                  sim::Endpoint master, WriteGuard write_guard)
-    : comm_(transport, host),
-      semantics_(std::move(semantics)),
-      write_guard_(std::move(write_guard)),
-      master_(master),
-      group_(&comm_, GroupRole::kCache) {
-  comm_.RegisterAsync(kDsoInvoke, [this](const sim::RpcContext& ctx,
-                                         Invocation invocation,
-                                         std::function<void(Result<Bytes>)> respond) {
-    if (!invocation.read_only && write_guard_) {
-      if (Status s = write_guard_(ctx); !s.ok()) {
-        respond(s);
-        return;
-      }
-    }
-    InvokeFrom(invocation, ctx.client.node,
-               [respond = std::move(respond)](Result<Bytes> result) {
-                 respond(std::move(result));
-               });
-  });
-  comm_.Register(kDsoGetState,
-                 [this](const sim::RpcContext&,
-                        const sim::EmptyMessage&) -> Result<VersionedState> {
-                   return VersionedState{version_, group_.epoch(), version_,
-                                         semantics_->GetState()};
-                 });
-  comm_.Register(kDsoMasterEndpoint,
-                 [this](const sim::RpcContext&,
-                        const sim::EmptyMessage&) -> Result<EndpointMessage> {
-                   return EndpointMessage{master_};
-                 });
+    : ServingReplica(transport, host, std::move(semantics), std::move(write_guard),
+                     kProtoCacheInval, GroupRole::kCache),
+      master_(master) {
   comm_.Register(kCiInvalidate,
                  [this](const sim::RpcContext& ctx,
                         const VersionMessage& msg) -> Result<PushAck> {
@@ -214,35 +134,20 @@ void CacheInvalCache::WithValidState(std::function<void(Status)> fn) {
              });
 }
 
-void CacheInvalCache::Invoke(const Invocation& invocation, InvokeCallback done) {
-  InvokeFrom(invocation, comm_.endpoint().node, std::move(done));
+void CacheInvalCache::Read(const Invocation& invocation, sim::NodeId client,
+                           InvokeCallback done) {
+  WithValidState([this, invocation, client, done = std::move(done)](Status s) mutable {
+    if (!s.ok()) {
+      done(s);
+      return;
+    }
+    ServingReplica::Read(invocation, client, std::move(done));
+  });
 }
 
-void CacheInvalCache::InvokeFrom(const Invocation& invocation, sim::NodeId client,
-                                 InvokeCallback done) {
-  if (group_.retired()) {
-    group_.CountRetiredRefusal();
-    done(FailedPrecondition("replica retired (object migrated); rebind"));
-    return;
-  }
-  if (invocation.read_only) {
-    WithValidState([this, invocation, client, done = std::move(done)](Status s) {
-      if (!s.ok()) {
-        done(s);
-        return;
-      }
-      Result<Bytes> result = semantics_->Invoke(invocation);
-      if (access_hook_ && result.ok()) {
-        access_hook_(AccessSample{false, result->size(), client});
-      }
-      done(std::move(result));
-    });
-    return;
-  }
-  // Writes forward to the master, which dedups dso.invoke — retries are safe.
-  comm_.Call(kDsoInvoke, master_, invocation,
-             [done = std::move(done)](Result<Bytes> result) { done(std::move(result)); },
-             WriteCallOptions());
+void CacheInvalCache::Write(const Invocation& invocation, sim::NodeId,
+                            InvokeCallback done) {
+  comm_.Call(kDsoInvoke, master_, invocation, std::move(done), WriteCallOptions());
 }
 
 }  // namespace globe::dso

@@ -11,7 +11,10 @@
 // the terminal kCache role — they are never electable (a cache may not even hold
 // valid state), so this protocol has no master fail-over.
 //
-// Peer methods (beyond dso.invoke / dso.get_state):
+// Both classes sit on dso::ServingReplica (src/dso/replica_core.h), which
+// serves dso.invoke / dso.get_state / dso.master_endpoint and the read path.
+//
+// Peer methods (beyond dso.invoke / dso.get_state / dso.master_endpoint):
 //   ci.register   : endpoint -> version, epoch  (cache joins; no state transferred)
 //   ci.unregister : endpoint -> empty
 //   ci.fetch      : empty -> VersionedState     (cache -> master, on demand)
@@ -21,56 +24,31 @@
 #define SRC_DSO_CACHE_INVAL_H_
 
 #include <memory>
-#include <vector>
 
-#include "src/dso/comm.h"
-#include "src/dso/protocols.h"
-#include "src/dso/replica_group.h"
-#include "src/dso/subobjects.h"
-#include "src/dso/wire.h"
+#include "src/dso/replica_core.h"
 
 namespace globe::dso {
 
-class CacheInvalMaster : public ReplicationObject {
+class CacheInvalMaster : public ServingReplica {
  public:
   CacheInvalMaster(sim::Transport* transport, sim::NodeId host,
                    std::unique_ptr<SemanticsObject> semantics,
                    WriteGuard write_guard = nullptr);
 
-  void Invoke(const Invocation& invocation, InvokeCallback done) override;
-  uint64_t version() const override { return version_; }
-  uint64_t epoch() const override { return group_.epoch(); }
-  void set_epoch(uint64_t e) override { group_.set_epoch(e); }
-  std::optional<gls::ContactAddress> contact_address() const override {
-    return gls::ContactAddress{comm_.endpoint(), kProtoCacheInval,
-                               ToReplicaRole(group_.role())};
-  }
-
   size_t num_caches() const { return group_.num_members(); }
   uint64_t fetches_served() const { return fetches_served_; }
-  SemanticsObject* semantics() override { return semantics_.get(); }
-  void set_version(uint64_t v) override { version_ = v; }
-  const ReplicaGroup* group() const override { return &group_; }
-  void set_access_hook(AccessHook hook) override { access_hook_ = std::move(hook); }
 
  private:
+  sim::Endpoint MasterEndpoint() const override { return comm_.endpoint(); }
   // Reads and writes both execute at the master (caches forward writes here),
   // so both sample kinds are recorded here.
-  void InvokeFrom(const Invocation& invocation, sim::NodeId client,
-                  InvokeCallback done);
-  void ExecuteWrite(const Invocation& invocation, sim::NodeId client,
-                    InvokeCallback done);
+  void Write(const Invocation& invocation, sim::NodeId client,
+             InvokeCallback done) override;
 
-  CommunicationObject comm_;
-  std::unique_ptr<SemanticsObject> semantics_;
-  WriteGuard write_guard_;
-  ReplicaGroup group_;
-  uint64_t version_ = 0;
   uint64_t fetches_served_ = 0;
-  AccessHook access_hook_;
 };
 
-class CacheInvalCache : public ReplicationObject {
+class CacheInvalCache : public ServingReplica {
  public:
   CacheInvalCache(sim::Transport* transport, sim::NodeId host,
                   std::unique_ptr<SemanticsObject> semantics, sim::Endpoint master,
@@ -79,39 +57,24 @@ class CacheInvalCache : public ReplicationObject {
   void Start(std::function<void(Status)> done) override;
   void Shutdown(std::function<void(Status)> done) override;
 
-  void Invoke(const Invocation& invocation, InvokeCallback done) override;
-  uint64_t version() const override { return version_; }
-  uint64_t epoch() const override { return group_.epoch(); }
-  void set_epoch(uint64_t e) override { group_.set_epoch(e); }
-  std::optional<gls::ContactAddress> contact_address() const override {
-    return gls::ContactAddress{comm_.endpoint(), kProtoCacheInval,
-                               ToReplicaRole(group_.role())};
-  }
-
-  SemanticsObject* semantics() override { return semantics_.get(); }
-  void set_version(uint64_t v) override { version_ = v; }
-  const ReplicaGroup* group() const override { return &group_; }
   bool valid() const { return valid_; }
   uint64_t fetches() const { return fetches_; }
-  void set_access_hook(AccessHook hook) override { access_hook_ = std::move(hook); }
 
  private:
-  // Reads served from the local copy are recorded here; forwarded writes are
-  // recorded at the master, not here, so they are never double-counted.
-  void InvokeFrom(const Invocation& invocation, sim::NodeId client,
-                  InvokeCallback done);
+  sim::Endpoint MasterEndpoint() const override { return master_; }
+  // Reads are served from the local copy, fetched first if invalidated.
+  void Read(const Invocation& invocation, sim::NodeId client,
+            InvokeCallback done) override;
+  // Writes forward to the master, which dedups dso.invoke (retries are safe)
+  // and records them, so they are never double-counted.
+  void Write(const Invocation& invocation, sim::NodeId client,
+             InvokeCallback done) override;
   // Ensures a valid local copy (fetching if necessary), then runs fn.
   void WithValidState(std::function<void(Status)> fn);
 
-  CommunicationObject comm_;
-  std::unique_ptr<SemanticsObject> semantics_;
-  WriteGuard write_guard_;
   sim::Endpoint master_;
-  ReplicaGroup group_;
   bool valid_ = false;
-  uint64_t version_ = 0;
   uint64_t fetches_ = 0;
-  AccessHook access_hook_;
 };
 
 }  // namespace globe::dso

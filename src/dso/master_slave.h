@@ -6,13 +6,16 @@
 // it eagerly pushes the new state to every registered slave. Slaves execute reads on
 // their local copy and forward writes to the master.
 //
-// One class serves both roles, driven by the shared dso::ReplicaGroup layer: the
-// role state machine lets a slave be elected master (GLS-driven fail-over) and a
-// partitioned stale master demote itself once its epoch-fenced pushes are refused.
-// MasterSlaveMaster / MasterSlaveSlave remain as constructors for the two starting
-// roles.
+// The write pipeline itself — fan-out, quorum votes, commit floor, rollback,
+// registration, fail-over wiring — is the shared dso::PrimaryBackupReplica
+// core (src/dso/replica_core.h). What master/slave adds is the update it fans
+// out (the full new state) and its follower side: one staged slot holding a
+// pushed state above the commit floor until the floor reaches it. One class
+// serves both roles; MasterSlaveMaster / MasterSlaveSlave remain as
+// constructors for the two starting roles.
 //
-// Peer methods (beyond the common dso.invoke / dso.get_state / dso.lease):
+// Peer methods (beyond the core's dso.invoke / dso.get_state /
+// dso.master_endpoint / dso.lease; slaves forward writes through dso.invoke):
 //   ms.register_slave   : endpoint -> VersionedState   (slave joins, gets snapshot)
 //   ms.unregister_slave : endpoint -> empty
 //   ms.state_push       : VersionedState -> PushAck    (master -> slave; refused
@@ -21,20 +24,14 @@
 #ifndef SRC_DSO_MASTER_SLAVE_H_
 #define SRC_DSO_MASTER_SLAVE_H_
 
-#include <deque>
 #include <memory>
 #include <utility>
-#include <vector>
 
-#include "src/dso/comm.h"
-#include "src/dso/protocols.h"
-#include "src/dso/replica_group.h"
-#include "src/dso/subobjects.h"
-#include "src/dso/wire.h"
+#include "src/dso/replica_core.h"
 
 namespace globe::dso {
 
-class MasterSlaveReplica : public ReplicationObject {
+class MasterSlaveReplica : public PrimaryBackupReplica {
  public:
   // Master: pass master = {kNoNode, 0}. Slave: the master's peer endpoint.
   MasterSlaveReplica(sim::Transport* transport, sim::NodeId host,
@@ -42,25 +39,10 @@ class MasterSlaveReplica : public ReplicationObject {
                      sim::Endpoint master, WriteGuard write_guard = nullptr,
                      FailoverConfig failover = {});
 
-  // Masters claim/resume GLS mastership (with fail-over on); slaves register
-  // with the master and install the state snapshot.
-  void Start(std::function<void(Status)> done) override;
+  // A slave also unregisters from its master.
   void Shutdown(std::function<void(Status)> done) override;
 
-  void Invoke(const Invocation& invocation, InvokeCallback done) override;
-  uint64_t version() const override { return version_; }
-  uint64_t epoch() const override { return group_.epoch(); }
-  void set_epoch(uint64_t e) override { group_.set_epoch(e); }
-  std::optional<gls::ContactAddress> contact_address() const override {
-    return gls::ContactAddress{comm_.endpoint(), kProtoMasterSlave,
-                               ToReplicaRole(group_.role())};
-  }
-
   size_t num_slaves() const { return group_.num_members(); }
-  SemanticsObject* semantics() override { return semantics_.get(); }
-  void set_version(uint64_t v) override { version_ = v; }
-  const ReplicaGroup* group() const override { return &group_; }
-  void set_access_hook(AccessHook hook) override { access_hook_ = std::move(hook); }
 
  private:
   // A write held durably by a slave but not yet executed: it executes only once
@@ -73,62 +55,25 @@ class MasterSlaveReplica : public ReplicationObject {
     uint64_t epoch = 0;
     Bytes state;
   };
-  // A write waiting for the single in-flight quorum round to finish. Quorum
-  // mode serializes writes: the commit floor must be published in version
-  // order, and the pre-write snapshot (the rollback point) only exists for one
-  // write at a time.
-  struct QueuedWrite {
-    Invocation invocation;
-    sim::NodeId client;
-    InvokeCallback done;
-  };
 
-  // Invoke with the originating client known: reads are recorded here (every
-  // replica serves them), writes only where they execute, so a forwarded write
-  // is counted once — at the master, attributed to the forwarding replica.
-  void InvokeFrom(const Invocation& invocation, sim::NodeId client,
-                  InvokeCallback done);
-  // Executes a write locally, then pushes state to all slaves through the group
-  // fan-out; responds once every remaining slave has acknowledged. A push
-  // refused under a newer epoch means this master was deposed: the write is NOT
-  // acknowledged (FailedPrecondition) and the group resolves the new owner.
-  void ExecuteWrite(const Invocation& invocation, sim::NodeId client,
-                    InvokeCallback done);
-  // Quorum write pump: pops the next queued write, refuses it up front if the
-  // reachable group cannot assemble a quorum, otherwise executes it, fans the
-  // push out with the write as its commit point, publishes the commit floor on
-  // quorum and only then acks — rolling back state AND version on any failure.
-  void PumpQuorumWrites();
-  // Restores the pre-write snapshot after a failed quorum round. Safe to reuse
-  // the version slot afterwards: every push of the failed round either settled
-  // or exhausted its per-attempt deadline before the fan-out completed, so no
-  // stale same-version datagram is still in flight.
-  void RollbackWrite();
-  // Executes every staged write whose version the commit floor has reached.
-  void ApplyStagedUpTo(uint64_t floor);
-  // Applied version plus the staged suffix — what this replica could serve if
-  // elected; reported in push acks and claims.
-  uint64_t DurableVersion() const {
+  // Pushes the new state, epoch-stamped, to every slave.
+  void FanOutUpdate(const Invocation& invocation, uint64_t committed,
+                    uint64_t commit_point,
+                    std::function<void(const FanOutResult&)> done) override;
+  // Executes the staged write once the commit floor has reached its version.
+  void ApplyCommitted(uint64_t floor) override;
+  void DiscardUncommitted() override { staged_ = Staged{}; }
+  uint64_t DurableVersion() const override {
     return staged_.version > version_ ? staged_.version : version_;
   }
-  // Registration handshake: join at master_, adopt its snapshot and epoch.
-  void RegisterWithMaster(std::function<void(Status)> done);
+  const sim::TypedMethod<EndpointMessage, VersionedState>& RegisterMethod()
+      const override;
+  const sim::TypedMethod<Invocation, Bytes>& ForwardMethod() const override {
+    return kDsoInvoke;
+  }
+  const Vocabulary& Words() const override;
 
-  CommunicationObject comm_;
-  std::unique_ptr<SemanticsObject> semantics_;
-  WriteGuard write_guard_;
-  sim::Endpoint master_;  // meaningful while the role is slave
-  ReplicaGroup group_;
-  uint64_t version_ = 0;
-  AccessHook access_hook_;
-  Staged staged_;                        // slave side: held-not-applied write
-  std::deque<QueuedWrite> write_queue_;  // master side, quorum mode
-  bool write_in_flight_ = false;
-  // Rollback point of the in-flight quorum write; also what registration
-  // snapshots hand out mid-write, so a joining slave never adopts state that
-  // may yet roll back.
-  Bytes pre_write_state_;
-  uint64_t pre_write_version_ = 0;
+  Staged staged_;  // slave side: held-not-applied write
 };
 
 class MasterSlaveMaster : public MasterSlaveReplica {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <utility>
 
 namespace globe::gls {
@@ -91,7 +92,6 @@ SubnodeStats GlsDeployment::TotalStats() const {
     total.cache_hits += s.cache_hits;
     total.cache_misses += s.cache_misses;
     total.cache_invalidations += s.cache_invalidations;
-    total.batch_lookups += s.batch_lookups;
     total.batch_inserts += s.batch_inserts;
     total.batch_deletes += s.batch_deletes;
     total.negative_cache_hits += s.negative_cache_hits;
@@ -138,8 +138,15 @@ void GlsDeployment::SplitDirectoryNode(sim::DomainId domain, int new_subnode_cou
   std::vector<std::pair<ObjectId, DirectoryEntry>> entries;
   std::vector<std::pair<ObjectId, DirectorySubnode::OwnerRecord>> owners;
   for (DirectorySubnode* member : members) {
-    for (auto& item : member->ExportEntries()) {
-      entries.push_back(std::move(item));
+    // Each export moves in whole: the node's directory is held at most twice
+    // (the live store and the drained copy) until the store is cleared.
+    auto exported = member->ExportEntries();
+    if (entries.empty()) {
+      entries = std::move(exported);
+    } else {
+      entries.reserve(entries.size() + exported.size());
+      entries.insert(entries.end(), std::make_move_iterator(exported.begin()),
+                     std::make_move_iterator(exported.end()));
     }
     for (auto& item : member->ExportOwners()) {
       owners.push_back(std::move(item));

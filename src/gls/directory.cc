@@ -125,81 +125,6 @@ struct BatchPointerRequest {  // gls.install_ptr (one child domain, many OIDs)
   }
 };
 
-struct BatchLookupRequest {  // gls.lookup_batch
-  std::vector<ObjectId> oids;
-  uint8_t allow_cached = 0;
-
-  Bytes Serialize() const {
-    ByteWriter w;
-    w.WriteVarint(oids.size());
-    for (const auto& oid : oids) {
-      oid.Serialize(&w);
-    }
-    w.WriteU8(allow_cached);
-    return w.Take();
-  }
-  static Result<BatchLookupRequest> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    BatchLookupRequest request;
-    ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
-    if (count > kMaxWireBatchItems) {
-      return InvalidArgument("implausible lookup batch size");
-    }
-    for (uint64_t i = 0; i < count; ++i) {
-      ASSIGN_OR_RETURN(ObjectId oid, ObjectId::Deserialize(&r));
-      request.oids.push_back(oid);
-    }
-    ASSIGN_OR_RETURN(request.allow_cached, r.ReadU8());
-    return request;
-  }
-};
-
-// gls.lookup_batch response: positional, one entry per requested OID. An OK entry
-// carries a serialized LookupResponse; a failed one its status.
-struct BatchLookupResponse {
-  std::vector<Result<Bytes>> items;
-
-  Bytes Serialize() const {
-    ByteWriter w;
-    w.WriteVarint(items.size());
-    for (const auto& item : items) {
-      if (item.ok()) {
-        w.WriteU8(0);
-        w.WriteLengthPrefixed(*item);
-      } else {
-        w.WriteU8(static_cast<uint8_t>(item.status().code()));
-        w.WriteString(item.status().message());
-      }
-    }
-    return w.Take();
-  }
-  static Result<BatchLookupResponse> Deserialize(ByteSpan data) {
-    ByteReader r(data);
-    BatchLookupResponse response;
-    ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
-    if (count > kMaxWireBatchItems) {
-      return InvalidArgument("implausible lookup batch size");
-    }
-    for (uint64_t i = 0; i < count; ++i) {
-      ASSIGN_OR_RETURN(uint8_t code, r.ReadU8());
-      if (code == 0) {
-        // The batch response owns its items (callers deserialize them after
-        // the wire buffer is gone): ownership boundary, copied explicitly.
-        ASSIGN_OR_RETURN(ByteSpan payload, r.ReadLengthPrefixedView());
-        response.items.emplace_back(ToBytes(payload));
-      } else {
-        if (code > static_cast<uint8_t>(StatusCode::kDataLoss)) {
-          return InvalidArgument("malformed lookup batch response");
-        }
-        ASSIGN_OR_RETURN(std::string_view message, r.ReadStringView());
-        response.items.emplace_back(
-            Status(static_cast<StatusCode>(code), std::string(message)));
-      }
-    }
-    return response;
-  }
-};
-
 struct OidMessage {  // gls.alloc_oid response
   ObjectId oid;
 
@@ -317,8 +242,6 @@ namespace {
 // into NotFound, and a repeated alloc_oid must hand back the same OID. Lookups
 // and cache invalidations are safely repeatable and skip the dedup table.
 const sim::TypedMethod<LookupWireRequest, LookupResponse> kGlsLookup{"gls.lookup"};
-const sim::TypedMethod<BatchLookupRequest, BatchLookupResponse> kGlsLookupBatch{
-    "gls.lookup_batch"};
 const sim::TypedMethod<LookupWireRequest, LookupResponse> kGlsLookupAll{
     "gls.lookup_all"};
 // Registrations and the pointer installs they chain upward are batch-shaped:
@@ -409,16 +332,6 @@ void SendBySubnode(const DirectoryRef& ref, std::vector<Item> items, OidOf oid_o
     send(subnode, std::move(groups[subnode]), std::move(done));
     ++subnode;
   });
-}
-
-Result<LookupResult> ParseLookupResult(ByteSpan payload) {
-  auto response = LookupResponse::Deserialize(payload);
-  if (!response.ok()) {
-    return response.status();
-  }
-  return LookupResult{std::move(response->addresses), response->hops,
-                      response->found_depth, response->apex_depth,
-                      response->from_cache != 0};
 }
 
 }  // namespace
@@ -523,40 +436,6 @@ DirectorySubnode::DirectorySubnode(sim::Transport* transport, sim::NodeId host,
     ++stats_.lookup_alls;
     ResolveLookupAll(std::move(request), std::move(respond));
   });
-
-  kGlsLookupBatch.RegisterAsync(
-      &server_, [this](const sim::RpcContext&, BatchLookupRequest request,
-                       sim::TypedMethod<BatchLookupRequest,
-                                        BatchLookupResponse>::AsyncResponder respond) {
-        ++stats_.batch_lookups;
-        if (request.oids.empty()) {
-          respond(BatchLookupResponse{});
-          return;
-        }
-        struct BatchState {
-          BatchLookupResponse response;
-          size_t remaining = 0;
-          std::function<void(Result<BatchLookupResponse>)> respond;
-        };
-        auto state = std::make_shared<BatchState>();
-        state->response.items.assign(request.oids.size(),
-                                     Result<Bytes>(Unavailable("pending")));
-        state->remaining = request.oids.size();
-        state->respond = std::move(respond);
-        for (size_t i = 0; i < request.oids.size(); ++i) {
-          ++stats_.lookups;
-          LookupWireRequest item;
-          item.oid = request.oids[i];
-          item.allow_cached = request.allow_cached;
-          ResolveLookup(std::move(item), [state, i](Result<LookupResponse> result) {
-            state->response.items[i] =
-                result.ok() ? Result<Bytes>(result->Serialize()) : result.status();
-            if (--state->remaining == 0) {
-              state->respond(std::move(state->response));
-            }
-          });
-        }
-      });
 
   kGlsInsert.RegisterAsync(&server_, [this](const sim::RpcContext& context,
                                             BatchAddressRequest request,
@@ -1551,66 +1430,6 @@ void GlsClient::LookupAll(const ObjectId& oid, LookupCallback done) {
                                          result->apex_depth, false});
                      },
                      MakeCallOptions());
-}
-
-void GlsClient::LookupBatch(const std::vector<ObjectId>& oids, BatchLookupCallback done) {
-  if (leaf_.empty()) {
-    done(FailedPrecondition("GLS client has no leaf directory"));
-    return;
-  }
-  if (oids.empty()) {
-    done(std::vector<Result<LookupResult>>{});
-    return;
-  }
-
-  struct BatchState {
-    std::vector<Result<LookupResult>> results;
-    size_t remaining = 0;
-    BatchLookupCallback done;
-  };
-  auto state = std::make_shared<BatchState>();
-  state->results.assign(oids.size(), Result<LookupResult>(Unavailable("pending")));
-  state->done = std::move(done);
-
-  // One gls.lookup_batch call per leaf subnode the OIDs hash to; results land back
-  // in their original positions.
-  std::map<size_t, std::vector<size_t>> groups;
-  for (size_t i = 0; i < oids.size(); ++i) {
-    groups[leaf_.SubnodeIndex(oids[i])].push_back(i);
-  }
-  state->remaining = groups.size();
-
-  for (auto& [subnode_index, indices] : groups) {
-    BatchLookupRequest group_request;
-    for (size_t i : indices) {
-      group_request.oids.push_back(oids[i]);
-    }
-    group_request.allow_cached = allow_cached_ ? 1 : 0;
-    kGlsLookupBatch.Call(
-        &rpc_, leaf_.subnodes[subnode_index], group_request,
-        [state, indices = std::move(indices)](Result<BatchLookupResponse> result) {
-          if (!result.ok()) {
-            for (size_t i : indices) {
-              state->results[i] = result.status();
-            }
-          } else if (result->items.size() != indices.size()) {
-            for (size_t i : indices) {
-              state->results[i] = InvalidArgument("malformed lookup batch response");
-            }
-          } else {
-            for (size_t k = 0; k < indices.size(); ++k) {
-              const Result<Bytes>& item = result->items[k];
-              state->results[indices[k]] =
-                  item.ok() ? ParseLookupResult(*item)
-                            : Result<LookupResult>(item.status());
-            }
-          }
-          if (--state->remaining == 0) {
-            state->done(std::move(state->results));
-          }
-        },
-        MakeCallOptions());
-  }
 }
 
 void GlsClient::Insert(const ObjectId& oid, const ContactAddress& address,

@@ -28,9 +28,8 @@
 //     not the hash home for answers from its cache or hands the lookup sideways to
 //     the home sibling; mutations always route strictly by hash.
 //
-// RPC methods, twelve in all (port sim::kPortGls on each subnode's host):
+// RPC methods, eleven in all (port sim::kPortGls on each subnode's host):
 //   gls.lookup            : LookupWireRequest -> LookupResponse
-//   gls.lookup_batch      : oids, allow_cached -> per-OID LookupResponse/status
 //   gls.lookup_all        : LookupWireRequest -> LookupResponse (every registered
 //                           address: climbs to the root home, descends all pointers)
 //   gls.insert            : (oid, address) pairs -> empty   (stores + installs pointers)
@@ -193,7 +192,6 @@ struct SubnodeStats {
   uint64_t cache_hits = 0;           // lookups answered from the lookup cache
   uint64_t cache_misses = 0;         // allow_cached lookups that had to walk pointers
   uint64_t cache_invalidations = 0;  // cache entries dropped by mutations
-  uint64_t batch_lookups = 0;        // gls.lookup_batch requests served
   uint64_t batch_inserts = 0;        // gls.insert requests served (any batch size)
   uint64_t batch_deletes = 0;        // gls.delete requests served (any batch size)
   uint64_t negative_cache_hits = 0;  // lookups answered NotFound from the cache
@@ -290,8 +288,8 @@ class DirectorySubnode {
 
   Status CheckAuthorized(const sim::RpcContext& context) const;
 
-  // Lookup core shared by gls.lookup and gls.lookup_batch: local addresses, then the
-  // cache (when allowed), then pointer descent / sideways handoff / parent climb.
+  // Lookup core of gls.lookup: local addresses, then the cache (when allowed),
+  // then pointer descent / sideways handoff / parent climb.
   void ResolveLookup(LookupWireRequest request, LookupResponder respond);
 
   // gls.lookup_all core: climb strictly by hash to the OID's root home, then
@@ -420,8 +418,6 @@ class GlsClient {
   GlsClient(sim::Transport* transport, sim::NodeId node, DirectoryRef leaf_directory);
 
   using LookupCallback = std::function<void(Result<LookupResult>)>;
-  using BatchLookupCallback =
-      std::function<void(Result<std::vector<Result<LookupResult>>>)>;
   using DoneCallback = std::function<void(Status)>;
   using OidCallback = std::function<void(Result<ObjectId>)>;
 
@@ -429,9 +425,6 @@ class GlsClient {
   // `allow_cached` lets directory subnodes answer from their lookup caches
   // (TTL-bounded staleness in exchange for fewer directory hops).
   void Lookup(const ObjectId& oid, bool allow_cached, LookupCallback done);
-  // Resolves many OIDs in one round trip per leaf subnode. The result vector is
-  // positional: results[i] belongs to oids[i]. Batches always group by hash home.
-  void LookupBatch(const std::vector<ObjectId>& oids, BatchLookupCallback done);
 
   // Exhaustive enumeration: EVERY contact address registered anywhere in the
   // tree, not just the nearest (the climb goes to the OID's root home and

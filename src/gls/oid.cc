@@ -48,7 +48,7 @@ void ObjectId::Serialize(ByteWriter* writer) const {
 }
 
 Result<ObjectId> ObjectId::Deserialize(ByteReader* reader) {
-  ASSIGN_OR_RETURN(Bytes bytes, reader->ReadBytes(kSize));
+  ASSIGN_OR_RETURN(ByteSpan bytes, reader->ReadSpan(kSize));
   ObjectId oid;
   std::copy(bytes.begin(), bytes.end(), oid.bytes_.begin());
   return oid;

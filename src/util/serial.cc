@@ -2,24 +2,26 @@
 
 namespace globe {
 
+namespace {
+// Appends the little-endian bytes of `v` in one insert, so an empty buffer
+// grows once instead of once per byte.
+template <typename T>
+void AppendLittleEndian(T v, Bytes* buffer) {
+  uint8_t bytes[sizeof(T)];
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    bytes[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+  buffer->insert(buffer->end(), bytes, bytes + sizeof(T));
+}
+}  // namespace
+
 void ByteWriter::WriteU8(uint8_t v) { buffer_.push_back(v); }
 
-void ByteWriter::WriteU16(uint16_t v) {
-  buffer_.push_back(static_cast<uint8_t>(v));
-  buffer_.push_back(static_cast<uint8_t>(v >> 8));
-}
+void ByteWriter::WriteU16(uint16_t v) { AppendLittleEndian(v, &buffer_); }
 
-void ByteWriter::WriteU32(uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    buffer_.push_back(static_cast<uint8_t>(v >> shift));
-  }
-}
+void ByteWriter::WriteU32(uint32_t v) { AppendLittleEndian(v, &buffer_); }
 
-void ByteWriter::WriteU64(uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    buffer_.push_back(static_cast<uint8_t>(v >> shift));
-  }
-}
+void ByteWriter::WriteU64(uint64_t v) { AppendLittleEndian(v, &buffer_); }
 
 void ByteWriter::WriteVarint(uint64_t v) {
   while (v >= 0x80) {

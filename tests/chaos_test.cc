@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/dso/master_slave.h"
@@ -1449,9 +1450,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaosQuorumCrashTest,
 // election happening behind the partition. Quorum mode refuses the burst: the
 // first write rolls back when its fan-out cannot assemble a majority, the
 // rest are refused up front, and nothing the isolated master did survives.
-QuorumSummary RunQuorumIsolationScenario(uint64_t seed) {
+// Both primary-backup protocols run it: they share one write pipeline, fed
+// with state pushes (master/slave) or ordered invocations (active).
+QuorumSummary RunQuorumIsolationScenario(gls::ProtocolId protocol, uint64_t seed) {
   FailoverWorld w(seed, /*quorum=*/true);
-  auto [oid, master_address] = w.CreateMaster();
+  auto [oid, master_address] = w.CreateMaster(protocol);
   w.CreateSlave(w.gos_b.get(), oid);
   w.CreateSlave(w.gos_c.get(), oid);
   QuorumHarness h(&w);
@@ -1550,20 +1553,151 @@ QuorumSummary RunQuorumIsolationScenario(uint64_t seed) {
   return summary;
 }
 
-class ChaosQuorumIsolationTest : public ::testing::TestWithParam<uint64_t> {};
+// Test-name suffix for a primary-backup protocol parameter.
+std::string PrimaryBackupName(gls::ProtocolId protocol) {
+  return protocol == dso::kProtoMasterSlave ? "MasterSlave" : "Active";
+}
+
+class ChaosQuorumIsolationTest
+    : public ::testing::TestWithParam<std::tuple<gls::ProtocolId, uint64_t>> {};
 
 TEST_P(ChaosQuorumIsolationTest, IsolatedMasterRefusesWritesAndReplays) {
-  QuorumSummary first = RunQuorumIsolationScenario(GetParam());
+  auto [protocol, seed] = GetParam();
+  QuorumSummary first = RunQuorumIsolationScenario(protocol, seed);
   EXPECT_EQ(first.masters, 1);
   EXPECT_EQ(first.winner_epoch, 2u);
-  QuorumSummary second = RunQuorumIsolationScenario(GetParam());
+  QuorumSummary second = RunQuorumIsolationScenario(protocol, seed);
   EXPECT_EQ(first.executed_events, second.executed_events);
   EXPECT_EQ(first.state_hash, second.state_hash);
   EXPECT_TRUE(first == second);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ChaosQuorumIsolationTest,
-                         ::testing::ValuesIn(ChaosSeeds()));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ChaosQuorumIsolationTest,
+    ::testing::Combine(::testing::Values(dso::kProtoMasterSlave, dso::kProtoActiveRepl),
+                       ::testing::ValuesIn(ChaosSeeds())),
+    [](const ::testing::TestParamInfo<std::tuple<gls::ProtocolId, uint64_t>>& info) {
+      return PrimaryBackupName(std::get<0>(info.param)) + "_" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+// A member that registers while a quorum write is in flight must adopt the
+// pre-write snapshot: the write may yet roll back, and a joiner that adopted
+// it would hold a refused write. Here the write's push to the only other
+// member stalls behind a partition, the third replica joins mid-round, and the
+// round then fails and rolls back.
+class ChaosQuorumJoinTest : public ::testing::TestWithParam<gls::ProtocolId> {};
+
+TEST_P(ChaosQuorumJoinTest, MemberJoiningMidRoundGetsPreWriteSnapshot) {
+  FailoverWorld w(0x501E, /*quorum=*/true);
+  auto [oid, master_address] = w.CreateMaster(GetParam());
+  w.CreateSlave(w.gos_b.get(), oid);
+  QuorumHarness h(&w);
+  h.WriteAt(w.simulator.Now() + 100 * kMillisecond, "k", 5, master_address.endpoint);
+  w.RunFor(5 * kSecond);
+  ASSERT_EQ(h.acked["k"], 5u);
+  dso::ReplicationObject* master = w.gos_a->FindReplica(oid);
+  ASSERT_NE(master, nullptr);
+  uint64_t pre_write_version = master->version();
+
+  // Stall the next write's round: its push to the only member cannot land.
+  SimTime t0 = w.simulator.Now();
+  w.network->PartitionPair(master_address.endpoint.node, w.gos_b->host(),
+                           30 * kSecond);
+  h.WriteAt(t0 + 100 * kMillisecond, "lost", 1, master_address.endpoint);
+  Status joined = Unavailable("pending");
+  w.simulator.ScheduleAt(t0 + 500 * kMillisecond, [&] {
+    w.gos_c->CreateReplica(oid, CounterObject::kTypeId, gls::ReplicaRole::kSlave,
+                           [&](Result<std::pair<ObjectId, gls::ContactAddress>> r) {
+                             joined = r.ok() ? OkStatus() : r.status();
+                           });
+  });
+  w.RunFor(3 * kSecond);
+
+  // The joiner is in, the write is still undecided, and the joiner holds the
+  // state from before it.
+  ASSERT_TRUE(joined.ok()) << joined;
+  EXPECT_EQ(h.acked_writes + h.refused_writes, 1u);  // only "k" has answered
+  EXPECT_EQ(master->version(), pre_write_version + 1);  // executed, in flight
+  dso::ReplicationObject* joiner = w.gos_c->FindReplica(oid);
+  ASSERT_NE(joiner, nullptr);
+  EXPECT_EQ(joiner->version(), pre_write_version);
+  std::map<std::string, uint64_t> joined_state =
+      ParseCounterState(joiner->semantics()->GetState());
+  EXPECT_EQ(joined_state.count("lost"), 0u);
+  EXPECT_EQ(joined_state.at("k"), 5u);
+
+  // The round fails (the member is evicted, one vote of three) and rolls back:
+  // nothing holds the refused write, the joiner included.
+  w.RunFor(20 * kSecond);
+  EXPECT_EQ(h.acked.count("lost"), 0u);
+  EXPECT_EQ(h.refused_writes, 1u);
+  EXPECT_GE(master->group()->stats().quorum_refusals, 1u);
+  EXPECT_EQ(ParseCounterState(master->semantics()->GetState()).count("lost"), 0u);
+  EXPECT_EQ(ParseCounterState(joiner->semantics()->GetState()).count("lost"), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, ChaosQuorumJoinTest,
+                         ::testing::Values(dso::kProtoMasterSlave,
+                                           dso::kProtoActiveRepl),
+                         [](const ::testing::TestParamInfo<gls::ProtocolId>& info) {
+                           return PrimaryBackupName(info.param);
+                         });
+
+// A write a member forwards to its primary must wait in the quorum queue like
+// one sent there directly. Here it arrives while an earlier write's round is
+// waiting on a commit-floor publication that cannot reach the directory. That
+// round rolls back; the forwarded write must then be refused as well, never
+// acked and then lost to the rollback.
+class ChaosQuorumForwardTest : public ::testing::TestWithParam<gls::ProtocolId> {};
+
+TEST_P(ChaosQuorumForwardTest, WriteForwardedMidRoundIsNeverAckedThenLost) {
+  FailoverWorld w(0xF0D, /*quorum=*/true);
+  auto [oid, master_address] = w.CreateMaster(GetParam());
+  gls::ContactAddress member = w.CreateSlave(w.gos_b.get(), oid);
+  QuorumHarness h(&w);
+  h.WriteAt(w.simulator.Now() + 100 * kMillisecond, "k", 5, master_address.endpoint);
+  w.RunFor(5 * kSecond);
+  ASSERT_EQ(h.acked["k"], 5u);
+  dso::ReplicationObject* master = w.gos_a->FindReplica(oid);
+  ASSERT_NE(master, nullptr);
+  uint64_t commits_before = master->group()->stats().quorum_commits;
+
+  // Cut the primary off from every directory host but the member's: its next
+  // round gathers both votes, then cannot publish the commit floor. Each
+  // publication gives up only after the GLS retry budget (about 90 s); the
+  // forwarded write, and the member's re-forwards of the client's retries,
+  // each fail the same way in turn.
+  SimTime t0 = w.simulator.Now();
+  NodeId master_host = master_address.endpoint.node;
+  for (const auto& subnode : w.deployment->subnodes()) {
+    if (subnode->host() != member.endpoint.node && subnode->host() != master_host) {
+      w.network->PartitionPair(master_host, subnode->host(), 600 * kSecond);
+    }
+  }
+  h.WriteAt(t0 + 100 * kMillisecond, "direct", 1, master_address.endpoint,
+            300 * kSecond);
+  h.WriteAt(t0 + 300 * kMillisecond, "forwarded", 1, member.endpoint, 300 * kSecond);
+  w.RunFor(450 * kSecond);
+
+  // Both writes answered, neither acked, nothing committed, nothing applied.
+  EXPECT_EQ(h.acked_writes, 1u);  // just "k"
+  EXPECT_EQ(h.refused_writes, 2u);
+  EXPECT_EQ(master->group()->stats().quorum_commits, commits_before);
+  std::map<std::string, uint64_t> state =
+      ParseCounterState(master->semantics()->GetState());
+  h.CheckBounds(state);
+  EXPECT_EQ(state.count("direct"), 0u);
+  EXPECT_EQ(state.count("forwarded"), 0u);
+  EXPECT_EQ(state.at("k"), 5u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, ChaosQuorumForwardTest,
+                         ::testing::Values(dso::kProtoMasterSlave,
+                                           dso::kProtoActiveRepl),
+                         [](const ::testing::TestParamInfo<gls::ProtocolId>& info) {
+                           return PrimaryBackupName(info.param);
+                         });
 
 // Loss window 3: partition healing with a divergent deposed master — on the
 // active-replication protocol, so both quorum write paths face the chaos

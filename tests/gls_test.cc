@@ -769,30 +769,6 @@ TEST_F(GlsTreeTest, InsertBatchRegistersAllInOneRoundTrip) {
   }
 }
 
-TEST_F(GlsTreeTest, LookupBatchReturnsPositionalResults) {
-  ObjectId registered = ObjectId::Generate(&rng_);
-  ObjectId unknown = ObjectId::Generate(&rng_);
-  InsertAt(registered, world_.hosts[0]);
-
-  auto client = deployment_.MakeClient(world_.hosts[1]);
-  Result<std::vector<Result<LookupResult>>> out = Unavailable("pending");
-  client->LookupBatch({registered, unknown},
-                      [&](Result<std::vector<Result<LookupResult>>> results) {
-                        out = std::move(results);
-                      });
-  simulator_.Run();
-  ASSERT_TRUE(out.ok()) << out.status();
-  ASSERT_EQ(out->size(), 2u);
-  ASSERT_TRUE((*out)[0].ok()) << (*out)[0].status();
-  ASSERT_EQ((*out)[0]->addresses.size(), 1u);
-  EXPECT_EQ((*out)[0]->addresses[0].endpoint.node, world_.hosts[0]);
-  ASSERT_FALSE((*out)[1].ok());
-  EXPECT_EQ((*out)[1].status().code(), StatusCode::kNotFound);
-
-  DomainId leaf_domain = world_.topology.NodeDomain(world_.hosts[1]);
-  EXPECT_EQ(deployment_.SubnodesOf(leaf_domain)[0]->stats().batch_lookups, 1u);
-}
-
 // Cached lookups and batch mutations keep the §6.1 authorization requirement:
 // warm caches must not let an unauthenticated peer mutate the directory, and the
 // denial shows up in stats().denied like every other refused mutation.
